@@ -1,13 +1,13 @@
 // Ablations of the design choices DESIGN.md calls out:
-//   1. gain queue backend: heap vs classic FM buckets;
-//   2. k-way method: recursive bisection (Zoltan's path) vs direct k-way;
-//   3. V-cycles and the k-way post-pass;
-//   4. coarse-partitioning restarts (1 vs 8 trials);
-//   5. matching constraint: fixed-aware IPM vs matching disabled
-//      (coarsening depth impact).
+//   1. k-way method: recursive bisection (Zoltan's path, the partitioner)
+//      vs the direct k-way kernel the parallel partitioner runs per rank;
+//   2. coarse-partitioning restarts (1 vs 8 vs 16 trials);
+//   3. FM pass-pairs per level (1 vs 4 vs 8);
+//   4. scratch remap: greedy matching vs optimal (Hungarian) relabeling.
 // Reports connectivity-1 cut and wall time on a mid-size instance.
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "common/timer.hpp"
@@ -23,10 +23,14 @@ namespace {
 
 using namespace hgr;
 
+using Partitioner =
+    std::function<Partition(const Hypergraph&, const PartitionConfig&)>;
+
 void report(const char* label, const Hypergraph& h,
-            const PartitionConfig& cfg) {
+            const PartitionConfig& cfg,
+            const Partitioner& partition = partition_hypergraph) {
   WallTimer timer;
-  const Partition p = partition_hypergraph(h, cfg);
+  const Partition p = partition(h, cfg);
   const double seconds = timer.seconds();
   std::printf("%-34s cut=%-10lld imb=%.3f time=%s\n", label,
               static_cast<long long>(connectivity_cut(h, p)),
@@ -52,23 +56,11 @@ int main(int argc, char** argv) {
   base.epsilon = 0.05;
   base.seed = 11;
 
-  report("baseline (RB + heap queue)", h, base);
-
-  PartitionConfig bucket = base;
-  bucket.gain_queue = GainQueueKind::kBucket;
-  report("gain queue: FM buckets", h, bucket);
-
-  PartitionConfig kway = base;
-  kway.kway_method = KwayMethod::kDirectKway;
-  report("method: direct k-way", h, kway);
-
-  PartitionConfig post = base;
-  post.kway_postpass = true;
-  report("RB + k-way post-pass", h, post);
-
-  PartitionConfig vcycle = base;
-  vcycle.num_vcycles = 2;
-  report("RB + 2 V-cycles", h, vcycle);
+  report("baseline (RB + FM)", h, base);
+  report("method: direct k-way", h, base,
+         [](const Hypergraph& hg, const PartitionConfig& cfg) {
+           return direct_kway_partition(hg, cfg);
+         });
 
   PartitionConfig one_trial = base;
   one_trial.num_initial_trials = 1;

@@ -14,16 +14,6 @@ namespace fault {
 class FaultPlan;
 }
 
-enum class KwayMethod {
-  kRecursiveBisection,  // Zoltan's production path (paper Section 4.4)
-  kDirectKway,          // extension: direct k-way coarse + k-way FM
-};
-
-enum class GainQueueKind {
-  kHeap,    // indexed binary heap: range-independent (default)
-  kBucket,  // classic FM gain buckets: O(1) but gain-range-bounded
-};
-
 /// Two-tier epoch routing (docs/INCREMENTAL.md): whether an epoch may be
 /// served by the O(delta) incremental fast path instead of a full V-cycle.
 enum class IncrementalMode {
@@ -82,16 +72,6 @@ struct PartitionConfig {
   /// Moves allowed past the last improvement within an FM pass before the
   /// pass aborts (classic FM early termination).
   Index fm_move_limit = 350;
-
-  KwayMethod kway_method = KwayMethod::kRecursiveBisection;
-  GainQueueKind gain_queue = GainQueueKind::kHeap;
-
-  /// Extra direct k-way refinement sweep over the final partition.
-  bool kway_postpass = false;
-
-  /// Additional V-cycles: restricted re-coarsening + refinement of the
-  /// final k-way partition (quality extension, costs time).
-  Index num_vcycles = 0;
 
   /// Two-tier epoch routing: see IncrementalMode. The fast path applies
   /// bounded greedy moves through the gain cache; it escalates to the full

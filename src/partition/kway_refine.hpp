@@ -6,8 +6,7 @@
 // positive-gain or balance-improving zero-gain move among the parts the
 // vertex's nets touch). Respects fixed vertices and Eq. 1 balance; the
 // result is bit-identical at every thread count (docs/PARALLELISM.md).
-// Used as an optional post-pass after recursive bisection, inside
-// V-cycles, and as the refinement stage of the direct k-way method.
+// The refinement stage of the direct k-way method.
 #pragma once
 
 #include "common/rng.hpp"

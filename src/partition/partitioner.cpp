@@ -7,10 +7,7 @@
 #include "check/validate.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
-#include "metrics/balance.hpp"
-#include "metrics/cut.hpp"
 #include "obs/trace.hpp"
-#include "partition/contract.hpp"
 #include "partition/kway_refine.hpp"
 #include "partition/matching_ipm.hpp"
 #include "partition/recursive_bisect.hpp"
@@ -90,42 +87,47 @@ void record_coarsen_level(Index fine_vertices, Index coarse_vertices,
   matched_counter += matched;
 }
 
-Partition direct_kway_partition(const Hypergraph& h,
-                                const PartitionConfig& cfg, Workspace* ws) {
-  Rng rng(cfg.seed);
-  const Index stop_size =
-      std::max<Index>(cfg.coarsen_to, 2 * cfg.num_parts);
-
+std::vector<CoarseLevel> coarsen_hierarchy(const Hypergraph& h,
+                                           Index stop_size,
+                                           const PartitionConfig& cfg,
+                                           Rng& rng, Workspace* ws) {
+  obs::TraceScope coarsen_scope("coarsen");
   std::vector<CoarseLevel> levels;
   const Hypergraph* current = &h;
   const Weight max_vertex_weight = std::max<Weight>(
       1, static_cast<Weight>(cfg.max_coarse_weight_factor *
                              static_cast<double>(h.total_vertex_weight()) /
                              std::max<Index>(1, stop_size)));
-  {
-    obs::TraceScope coarsen_scope("coarsen");
-    for (Index level = 0; level < cfg.max_levels; ++level) {
-      if (current->num_vertices() <= stop_size) break;
-      const IdVector<VertexId, VertexId> match =
-          ipm_matching(*current, cfg, max_vertex_weight, rng, ws);
-      CoarseLevel next = contract(*current, match, ws);
-      const double reduction =
-          1.0 - static_cast<double>(next.coarse.num_vertices()) /
-                    static_cast<double>(current->num_vertices());
-      if (reduction < cfg.min_coarsen_reduction) break;
-      record_coarsen_level(current->num_vertices(),
-                           next.coarse.num_vertices(), match);
-      check::validate_coarsening(*current, next, cfg.check_level);
-      levels.push_back(std::move(next));
-      current = &levels.back().coarse;
-    }
+  for (Index level = 0; level < cfg.max_levels; ++level) {
+    if (current->num_vertices() <= stop_size) break;
+    const IdVector<VertexId, VertexId> match =
+        ipm_matching(*current, cfg, max_vertex_weight, rng, ws);
+    CoarseLevel next = contract(*current, match, ws);
+    const double reduction =
+        1.0 - static_cast<double>(next.coarse.num_vertices()) /
+                  static_cast<double>(current->num_vertices());
+    if (reduction < cfg.min_coarsen_reduction) break;  // stalled
+    record_coarsen_level(current->num_vertices(), next.coarse.num_vertices(),
+                         match);
+    check::validate_coarsening(*current, next, cfg.check_level);
+    levels.push_back(std::move(next));
+    current = &levels.back().coarse;
   }
+  return levels;
+}
 
-  Partition p(cfg.num_parts, current->num_vertices());
+Partition direct_kway_partition(const Hypergraph& h,
+                                const PartitionConfig& cfg, Workspace* ws) {
+  Rng rng(cfg.seed);
+  const std::vector<CoarseLevel> levels = coarsen_hierarchy(
+      h, std::max<Index>(cfg.coarsen_to, 2 * cfg.num_parts), cfg, rng, ws);
+  const Hypergraph& coarsest = levels.empty() ? h : levels.back().coarse;
+
+  Partition p(cfg.num_parts, coarsest.num_vertices());
   {
     obs::TraceScope initial_scope("initial");
-    p = greedy_kway_initial(*current, cfg, rng);
-    kway_refine(*current, p, cfg, rng, cfg.max_refine_passes, ws);
+    p = greedy_kway_initial(coarsest, cfg, rng);
+    kway_refine(coarsest, p, cfg, rng, cfg.max_refine_passes, ws);
   }
 
   {
@@ -143,100 +145,6 @@ Partition direct_kway_partition(const Hypergraph& h,
   }
   p.validate();
   return p;
-}
-
-void refinement_vcycle(const Hypergraph& h, Partition& p,
-                       const PartitionConfig& cfg, Rng& rng, Workspace* ws) {
-  obs::TraceScope trace("vcycle");
-  // Restrict matching to same-part pairs by temporarily fixing every vertex
-  // to its current part; the original fixed labels are re-derived on the
-  // coarse side from the contraction so true constraints survive.
-  Hypergraph work = h;
-  std::vector<PartId> part_as_fixed(p.assignment.begin(), p.assignment.end());
-  work.set_fixed_parts(std::move(part_as_fixed));
-
-  const Index stop_size = std::max<Index>(cfg.coarsen_to, 2 * cfg.num_parts);
-  const Weight max_vertex_weight = std::max<Weight>(
-      1, static_cast<Weight>(cfg.max_coarse_weight_factor *
-                             static_cast<double>(h.total_vertex_weight()) /
-                             std::max<Index>(1, stop_size)));
-
-  struct VLevel {
-    CoarseLevel cl;
-    IdVector<VertexId, PartId> orig_fixed;  // true constraints at this level
-  };
-  std::vector<VLevel> levels;
-
-  // True fixed labels at the current (finest) level, keyed by that level's
-  // vertex ids.
-  IdVector<VertexId, PartId> fixed_now;
-  if (h.has_fixed())
-    // hgr-lint: raw-ok (bulk copy of the fixed-label array, same id space)
-    fixed_now.raw().assign(h.fixed_parts().begin(), h.fixed_parts().end());
-
-  const Hypergraph* current = &work;
-  for (Index level = 0; level < cfg.max_levels; ++level) {
-    if (current->num_vertices() <= stop_size) break;
-    const IdVector<VertexId, VertexId> match =
-        ipm_matching(*current, cfg, max_vertex_weight, rng, ws);
-    VLevel next;
-    next.cl = contract(*current, match, ws);
-    const double reduction =
-        1.0 - static_cast<double>(next.cl.coarse.num_vertices()) /
-                  static_cast<double>(current->num_vertices());
-    if (reduction < cfg.min_coarsen_reduction) break;
-    check::validate_coarsening(*current, next.cl, cfg.check_level);
-    // Propagate the *true* fixed constraints to the coarse level.
-    if (!fixed_now.empty()) {
-      IdVector<VertexId, PartId> coarse_fixed(
-          next.cl.coarse.num_vertices(), kNoPart);
-      for (const VertexId v : next.cl.fine_to_coarse.ids()) {
-        const PartId f = fixed_now[v];
-        if (f == kNoPart) continue;
-        PartId& cf = coarse_fixed[next.cl.fine_to_coarse[v]];
-        HGR_ASSERT(cf == kNoPart || cf == f);
-        cf = f;
-      }
-      next.orig_fixed = coarse_fixed;
-      fixed_now = std::move(coarse_fixed);
-    }
-    levels.push_back(std::move(next));
-    current = &levels.back().cl.coarse;
-  }
-
-  if (levels.empty()) {
-    // Nothing coarsened; a plain refinement sweep still helps.
-    kway_refine(h, p, cfg, rng, cfg.max_refine_passes, ws);
-    return;
-  }
-
-  // The coarse partition is encoded in the contraction-propagated
-  // "fixed" labels (every vertex was fixed to its part).
-  Partition cp(cfg.num_parts, levels.back().cl.coarse.num_vertices());
-  for (const VertexId v : levels.back().cl.coarse.vertices()) {
-    const PartId f = levels.back().cl.coarse.fixed_part(v);
-    HGR_ASSERT(f != kNoPart);
-    cp[v] = f;
-  }
-
-  // Refine down the hierarchy with only the true constraints fixed.
-  for (std::size_t i = levels.size(); i-- > 0;) {
-    Hypergraph& level_h = levels[i].cl.coarse;
-    level_h.set_fixed_parts(
-        std::vector<PartId>(levels[i].orig_fixed.begin(),
-                            levels[i].orig_fixed.end()));
-    kway_refine(level_h, cp, cfg, rng, cfg.max_refine_passes, ws);
-    // Project to the next finer level.
-    const Hypergraph& finer = (i == 0) ? h : levels[i - 1].cl.coarse;
-    Partition fine_p(cfg.num_parts, finer.num_vertices());
-    for (const VertexId v : finer.vertices())
-      fine_p[v] = cp[levels[i].cl.fine_to_coarse[v]];
-    cp = std::move(fine_p);
-  }
-  kway_refine(h, cp, cfg, rng, cfg.max_refine_passes, ws);
-
-  // V-cycles must never regress.
-  if (connectivity_cut(h, cp) <= connectivity_cut(h, p)) p = std::move(cp);
 }
 
 Partition partition_hypergraph(const Hypergraph& h,
@@ -268,15 +176,7 @@ Partition partition_hypergraph(const Hypergraph& h,
     pool.emplace(static_cast<int>(cfg.num_threads));
     ws.set_pool(&*pool);
   }
-  Partition p = (cfg.kway_method == KwayMethod::kRecursiveBisection)
-                    ? recursive_bisection_partition(h, cfg, &ws)
-                    : direct_kway_partition(h, cfg, &ws);
-
-  Rng post_rng(derive_seed(cfg.seed, 0xFACE));
-  if (cfg.kway_postpass)
-    kway_refine(h, p, cfg, post_rng, cfg.max_refine_passes, &ws);
-  for (Index i = 0; i < cfg.num_vcycles; ++i)
-    refinement_vcycle(h, p, cfg, post_rng, &ws);
+  const Partition p = recursive_bisection_partition(h, cfg, &ws);
 
   // Fixed constraints are hard: verify.
   if (h.has_fixed()) {

@@ -191,14 +191,14 @@ TEST(Workspace, ReuseAcrossVcyclesUnderParanoidValidation) {
   PartitionConfig cfg;
   cfg.num_parts = 3;
   cfg.epsilon = 0.2;  // loose: this test is about scratch reuse, not quality
-  cfg.kway_method = KwayMethod::kDirectKway;
-  cfg.num_vcycles = 2;
   cfg.check_level = check::CheckLevel::kParanoid;
-  // partition_hypergraph owns an internal arena threaded through
-  // bisection, refinement, and both V-cycles; paranoid validators confirm
-  // no cross-level contamination, and a second call must be identical.
-  const Partition a = partition_hypergraph(h, cfg);
-  const Partition b = partition_hypergraph(h, cfg);
+  // One arena threaded through two multilevel V-cycles — two direct k-way
+  // runs (odd k; every level's coarsening and k-way refinement). Paranoid
+  // validators confirm no cross-level contamination, and the second run
+  // must be identical.
+  Workspace ws;
+  const Partition a = direct_kway_partition(h, cfg, &ws);
+  const Partition b = direct_kway_partition(h, cfg, &ws);
   EXPECT_EQ(a.assignment, b.assignment);
 }
 

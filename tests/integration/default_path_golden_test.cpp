@@ -1,0 +1,199 @@
+// Golden regression for the default partitioning paths: FNV-1a hashes of
+// the exact assignments the library returns for a fixed grid of inputs.
+// The hashes were recorded once and must never change by accident — a
+// refactor or deletion that claims "bit-identical results" is held to that
+// claim here. Covered paths: the serial partitioner (at 1 and 2 threads,
+// which must agree), the 2-rank parallel partitioner (which runs the
+// direct k-way kernel per rank for its initial partition), and the
+// two-tier repartitioner over three epochs of an AMR-like (weight
+// perturbation, 2-rank full tier) and a drift-like (small structural churn,
+// serial, incremental-eligible) scenario.
+//
+// A deliberate algorithm change that alters results must regenerate the
+// table (the failure messages print every actual hash) and say so.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <ostream>
+#include <string>
+
+#include "core/incremental_repart.hpp"
+#include "core/repartitioner.hpp"
+#include "hypergraph/convert.hpp"
+#include "metrics/cut.hpp"
+#include "parallel/par_partitioner.hpp"
+#include "partition/partitioner.hpp"
+#include "workload/datasets.hpp"
+#include "workload/perturb.hpp"
+
+namespace hgr {
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// FNV-1a over the little-endian bytes of every part id, folded into `h`.
+std::uint64_t fnv1a(const Partition& p, std::uint64_t h = kFnvOffset) {
+  for (const PartId q : p.assignment) {
+    auto x = static_cast<std::uint32_t>(q.v);
+    for (int b = 0; b < 4; ++b) {
+      h ^= x & 0xFFu;
+      h *= kFnvPrime;
+      x >>= 8;
+    }
+  }
+  return h;
+}
+
+struct GoldenCase {
+  const char* dataset;
+  double scale;
+  Index k;
+  std::uint64_t seed;
+  std::uint64_t serial;    // partition_hypergraph, threads 1 and 2
+  std::uint64_t parallel;  // parallel_partition_hypergraph, 2 ranks
+  std::uint64_t amr;       // tiered repart, weight perturbation, 3 epochs
+  std::uint64_t drift;     // tiered repart, structural churn, 3 epochs
+};
+
+// Recorded from the library before the serial partitioner lost its
+// alternative k-way methods, gain-bucket queue, post-pass and V-cycles.
+constexpr GoldenCase kCases[] = {
+    {"auto-like", 0.1, 4, 1,
+     0xe0ea9a7f395d8cb5ull, 0x50fe85d3b7e83a65ull,
+     0xf9eaefc39107e0d4ull, 0x91f238b9e1f60257ull},
+    {"auto-like", 0.1, 4, 7,
+     0x61e0c5a8cd3a74b5ull, 0x6ea37968e23c7dc5ull,
+     0x491780246850eef4ull, 0x153cdeaf5e7d7134ull},
+    {"auto-like", 0.1, 16, 1,
+     0xf91b03c9ee7f2365ull, 0x63dac1eebf7e7fd6ull,
+     0x1ccfe3cb2555ad50ull, 0x1f6f9ae4db4490d2ull},
+    {"auto-like", 0.1, 16, 7,
+     0x122e9b8bf9552645ull, 0x71af3878c3bace6full,
+     0xd66b69b278d4d769ull, 0xf687fa2c85048c3full},
+    {"xyce680s-like", 0.08, 4, 1,
+     0xe1e1b6afc8311517ull, 0x53513e37c9c1a924ull,
+     0xc0dc8fa03ce792a6ull, 0xb90b61c014b6c046ull},
+    {"xyce680s-like", 0.08, 4, 7,
+     0x2c43990364210016ull, 0x8ca26e870e4df425ull,
+     0x599f62131638f546ull, 0x28491ad6cdfb0d56ull},
+    {"xyce680s-like", 0.08, 16, 1,
+     0xe5c367f16512db74ull, 0x5a52ec1bf6826e6dull,
+     0x38231f7a1fe84118ull, 0xf47e449f9c5c4591ull},
+    {"xyce680s-like", 0.08, 16, 7,
+     0x54edcbf8d9f10fb4ull, 0x50c7268cfc2608b0ull,
+     0x8cc70c5205400de1ull, 0xc3ef3d4ab635bbddull},
+    {"cage14-like", 0.04, 4, 1,
+     0xb381cc2ac857ec45ull, 0x15ce1523c6f22884ull,
+     0x157c86ab5e8b2cb5ull, 0x5cb9619ff3fbf275ull},
+    {"cage14-like", 0.04, 4, 7,
+     0x0aa9ac5e8f181116ull, 0x5c4fb4aca4520594ull,
+     0x2632e1ad5c924f16ull, 0xa4b0995c0374f275ull},
+    {"cage14-like", 0.04, 16, 1,
+     0x59fdffaf5987c2daull, 0xe5fb9caccfeec023ull,
+     0xcc8e5b53255efc09ull, 0x423b9a1e9fc36ee2ull},
+    {"cage14-like", 0.04, 16, 7,
+     0x9ab621412861aa5full, 0x6831a1c39ce1699bull,
+     0xd899a533dab21e70ull, 0x0355295b016d54efull},
+};
+
+PartitionConfig base_config(const GoldenCase& c) {
+  PartitionConfig cfg;
+  cfg.num_parts = c.k;
+  cfg.seed = c.seed;
+  return cfg;
+}
+
+/// The application epoch loop of the end-to-end benchmark in miniature:
+/// static bootstrap, then three run_tiered_repartition epochs
+/// (kHypergraphRepart, incremental kAuto). Hashes every epoch's answer.
+std::uint64_t tiered_hash(const GoldenCase& c, bool structural) {
+  Graph base = make_dataset(c.dataset, c.scale, c.seed);
+  std::unique_ptr<EpochScenario> scenario;
+  RepartitionerConfig rcfg;
+  rcfg.partition = base_config(c);
+  rcfg.partition.incremental = IncrementalMode::kAuto;
+  if (structural) {
+    StructuralPerturbOptions so;
+    so.vertex_fraction = 0.005;
+    scenario = std::make_unique<StructuralPerturbScenario>(std::move(base),
+                                                           so, c.seed);
+    rcfg.alpha = 100;
+  } else {
+    scenario = std::make_unique<WeightPerturbScenario>(
+        std::move(base), WeightPerturbOptions{}, c.seed);
+    rcfg.alpha = 10;
+    rcfg.num_ranks = 2;
+  }
+
+  EpochDeltaTracker tracker;
+  IncrementalRepartitioner inc;
+  EpochProblem first = scenario->next_epoch();
+  const Hypergraph h0 = graph_to_hypergraph(first.graph);
+  tracker.observe(first.graph, first.to_base);
+  const Partition p0 = partition_hypergraph(h0, rcfg.partition);
+  inc.note_full(connectivity_cut(h0, p0));
+  scenario->record_partition(p0);
+  std::uint64_t hash = fnv1a(p0);
+
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    EpochProblem problem = scenario->next_epoch();
+    const Hypergraph h = graph_to_hypergraph(problem.graph);
+    const EpochDelta delta = tracker.observe(problem.graph, problem.to_base);
+    const GuardedRepartitionResult r = run_tiered_repartition(
+        RepartAlgorithm::kHypergraphRepart, h, problem.graph,
+        problem.old_partition, rcfg, inc, delta);
+    EXPECT_FALSE(r.degraded) << r.error;
+    hash = fnv1a(r.result.partition, hash);
+    scenario->record_partition(r.result.partition);
+  }
+  return hash;
+}
+
+std::string label(const GoldenCase& c) {
+  return std::string(c.dataset) + " k=" + std::to_string(c.k) +
+         " seed=" + std::to_string(c.seed);
+}
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << label(c); }
+
+class DefaultPathGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(DefaultPathGolden, SerialPartitionAtOneAndTwoThreads) {
+  const GoldenCase& c = GetParam();
+  const Hypergraph h =
+      graph_to_hypergraph(make_dataset(c.dataset, c.scale, c.seed));
+  PartitionConfig cfg = base_config(c);
+  EXPECT_EQ(fnv1a(partition_hypergraph(h, cfg)), c.serial) << label(c);
+  cfg.num_threads = 2;
+  EXPECT_EQ(fnv1a(partition_hypergraph(h, cfg)), c.serial) << label(c);
+}
+
+TEST_P(DefaultPathGolden, ParallelPartitionAtTwoRanks) {
+  const GoldenCase& c = GetParam();
+  const Hypergraph h =
+      graph_to_hypergraph(make_dataset(c.dataset, c.scale, c.seed));
+  ParallelPartitionConfig cfg;
+  cfg.num_ranks = 2;
+  cfg.base = base_config(c);
+  EXPECT_EQ(fnv1a(parallel_partition_hypergraph(h, cfg).partition),
+            c.parallel)
+      << label(c);
+}
+
+TEST_P(DefaultPathGolden, TieredRepartitionWeightPerturbation) {
+  const GoldenCase& c = GetParam();
+  EXPECT_EQ(tiered_hash(c, /*structural=*/false), c.amr) << label(c);
+}
+
+TEST_P(DefaultPathGolden, TieredRepartitionStructuralChurn) {
+  const GoldenCase& c = GetParam();
+  EXPECT_EQ(tiered_hash(c, /*structural=*/true), c.drift) << label(c);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, DefaultPathGolden,
+                         ::testing::ValuesIn(kCases));
+
+}  // namespace
+}  // namespace hgr

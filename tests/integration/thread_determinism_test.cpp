@@ -1,14 +1,15 @@
 // Whole-pipeline thread-count determinism: the shared-memory execution
 // layer must be invisible in results. partition_hypergraph with
-// num_threads = 1, 2, 4 — across datasets, seeds, both k-way methods, the
-// post-pass, and the repartitioning model — returns bit-identical
-// partitions, and ranks x threads composes in the parallel partitioner
-// without changing its answer (docs/PARALLELISM.md).
+// num_threads = 1, 2, 4 — across datasets, seeds, and the repartitioning
+// model — and the direct k-way kernel return bit-identical partitions,
+// and ranks x threads composes in the parallel partitioner without
+// changing its answer (docs/PARALLELISM.md).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/repartition_model.hpp"
 #include "hypergraph/convert.hpp"
 #include "metrics/cut.hpp"
@@ -42,23 +43,18 @@ TEST(ThreadDeterminism, PartitionIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ThreadDeterminism, DirectKwayAndPostpassAreThreadCountInvariant) {
+TEST(ThreadDeterminism, DirectKwayIsThreadCountInvariant) {
+  // The direct k-way kernel the parallel partitioner runs per rank, with
+  // its arena carrying a 4-thread pool vs no pool at all.
   const Hypergraph h = graph_to_hypergraph(make_dataset("auto-like", 0.02, 9));
-
   PartitionConfig direct;
   direct.num_parts = 4;
-  direct.kway_method = KwayMethod::kDirectKway;
   direct.seed = 3;
-  EXPECT_EQ(partition_with_threads(h, direct, 1).assignment,
-            partition_with_threads(h, direct, 4).assignment);
-
-  PartitionConfig postpass;
-  postpass.num_parts = 4;
-  postpass.kway_postpass = true;
-  postpass.num_vcycles = 1;
-  postpass.seed = 3;
-  EXPECT_EQ(partition_with_threads(h, postpass, 1).assignment,
-            partition_with_threads(h, postpass, 4).assignment);
+  ThreadPool pool(4);
+  Workspace ws;
+  ws.set_pool(&pool);
+  EXPECT_EQ(direct_kway_partition(h, direct).assignment,
+            direct_kway_partition(h, direct, &ws).assignment);
 }
 
 TEST(ThreadDeterminism, RepartitionModelIsThreadCountInvariant) {

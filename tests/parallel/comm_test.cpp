@@ -4,11 +4,19 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace hgr {
 namespace {
+
+std::vector<std::int32_t> slot_vector(const FlatBuffer<std::int32_t>& buf,
+                                      int s) {
+  const std::span<const std::int32_t> slice = buf.slot(s);
+  return {slice.begin(), slice.end()};
+}
 
 TEST(Comm, SingleRankRuns) {
   Comm comm(1);
@@ -76,12 +84,13 @@ TEST(Comm, AllgatherCollectsInRankOrder) {
   Comm comm(4);
   comm.run([](RankContext& ctx) {
     const std::vector<std::int32_t> mine{ctx.rank(), ctx.rank() * 10};
-    const auto all = ctx.allgather(mine);
-    ASSERT_EQ(all.size(), 4u);
+    const FlatBuffer<std::int32_t> all =
+        ctx.allgatherv<std::int32_t>({mine.data(), mine.size()});
+    ASSERT_EQ(all.slots(), 4);
     for (int r = 0; r < 4; ++r) {
-      ASSERT_EQ(all[static_cast<std::size_t>(r)].size(), 2u);
-      EXPECT_EQ(all[static_cast<std::size_t>(r)][0], r);
-      EXPECT_EQ(all[static_cast<std::size_t>(r)][1], r * 10);
+      ASSERT_EQ(all.size(r), 2u);
+      EXPECT_EQ(all.slot(r)[0], r);
+      EXPECT_EQ(all.slot(r)[1], r * 10);
     }
   });
 }
@@ -92,10 +101,11 @@ TEST(Comm, AllgatherHandlesEmptyContributions) {
     const std::vector<std::int32_t> mine =
         ctx.rank() == 1 ? std::vector<std::int32_t>{5}
                         : std::vector<std::int32_t>{};
-    const auto all = ctx.allgather(mine);
-    EXPECT_TRUE(all[0].empty());
-    EXPECT_EQ(all[1], (std::vector<std::int32_t>{5}));
-    EXPECT_TRUE(all[2].empty());
+    const FlatBuffer<std::int32_t> all =
+        ctx.allgatherv<std::int32_t>({mine.data(), mine.size()});
+    EXPECT_TRUE(all.slot(0).empty());
+    EXPECT_EQ(slot_vector(all, 1), (std::vector<std::int32_t>{5}));
+    EXPECT_TRUE(all.slot(2).empty());
   });
 }
 
@@ -122,13 +132,14 @@ TEST(Comm, Bcast) {
 TEST(Comm, Alltoallv) {
   Comm comm(3);
   comm.run([](RankContext& ctx) {
-    std::vector<std::vector<std::int32_t>> outgoing(3);
-    for (int d = 0; d < 3; ++d)
-      outgoing[static_cast<std::size_t>(d)] = {ctx.rank() * 10 + d};
-    const auto incoming = ctx.alltoallv(outgoing);
-    ASSERT_EQ(incoming.size(), 3u);
+    FlatBuffer<std::int32_t> outgoing = ctx.make_buffer<std::int32_t>();
+    for (int d = 0; d < 3; ++d) outgoing.count(d) = 1;
+    outgoing.commit_counts();
+    for (int d = 0; d < 3; ++d) outgoing.push(d, ctx.rank() * 10 + d);
+    const FlatBuffer<std::int32_t> incoming = ctx.alltoallv(outgoing);
+    ASSERT_EQ(incoming.slots(), 3);
     for (int s = 0; s < 3; ++s)
-      EXPECT_EQ(incoming[static_cast<std::size_t>(s)],
+      EXPECT_EQ(slot_vector(incoming, s),
                 (std::vector<std::int32_t>{s * 10 + ctx.rank()}));
   });
 }
@@ -218,13 +229,13 @@ TEST(Comm, ReusableAfterFailedRun) {
   comm.run([](RankContext& ctx) {
     EXPECT_EQ(ctx.allreduce_sum<std::int32_t>(1), 3);
     ctx.barrier();
-    std::vector<std::vector<std::int32_t>> outgoing(3);
-    for (int d = 0; d < 3; ++d)
-      outgoing[static_cast<std::size_t>(d)] = {ctx.rank()};
-    const auto incoming = ctx.alltoallv(outgoing);
+    FlatBuffer<std::int32_t> outgoing = ctx.make_buffer<std::int32_t>();
+    for (int d = 0; d < 3; ++d) outgoing.count(d) = 1;
+    outgoing.commit_counts();
+    for (int d = 0; d < 3; ++d) outgoing.push(d, ctx.rank());
+    const FlatBuffer<std::int32_t> incoming = ctx.alltoallv(outgoing);
     for (int s = 0; s < 3; ++s)
-      EXPECT_EQ(incoming[static_cast<std::size_t>(s)],
-                (std::vector<std::int32_t>{s}));
+      EXPECT_EQ(slot_vector(incoming, s), (std::vector<std::int32_t>{s}));
   });
 }
 

@@ -65,21 +65,7 @@ TEST(FixedVertices, DirectKwayAlsoHonorsFixed) {
       random_hypergraph(100, 200, 4, 2, 37), 4, 0.3, 41);
   PartitionConfig cfg;
   cfg.num_parts = 4;
-  cfg.kway_method = KwayMethod::kDirectKway;
-  const Partition p = partition_hypergraph(h, cfg);
-  for (const VertexId v : p.vertices()) {
-    const PartId f = h.fixed_part(v);
-    if (f != kNoPart) EXPECT_EQ(p[v], f);
-  }
-}
-
-TEST(FixedVertices, VcyclePreservesFixed) {
-  const Hypergraph h = with_random_fixed(
-      random_hypergraph(100, 200, 4, 2, 43), 4, 0.2, 47);
-  PartitionConfig cfg;
-  cfg.num_parts = 4;
-  cfg.num_vcycles = 2;
-  const Partition p = partition_hypergraph(h, cfg);
+  const Partition p = direct_kway_partition(h, cfg);
   for (const VertexId v : p.vertices()) {
     const PartId f = h.fixed_part(v);
     if (f != kNoPart) EXPECT_EQ(p[v], f);

@@ -91,35 +91,9 @@ TEST(Partitioner, DirectKwayAlsoValid) {
   const Hypergraph h = random_hypergraph(120, 240, 4, 2, 7);
   PartitionConfig cfg;
   cfg.num_parts = 4;
-  cfg.kway_method = KwayMethod::kDirectKway;
-  const Partition p = partition_hypergraph(h, cfg);
+  const Partition p = direct_kway_partition(h, cfg);
   p.validate();
   EXPECT_LE(imbalance(h.vertex_weights(), p), 0.35);
-}
-
-TEST(Partitioner, KwayPostpassNeverHurts) {
-  const Hypergraph h = random_hypergraph(120, 240, 4, 2, 8);
-  PartitionConfig base;
-  base.num_parts = 4;
-  PartitionConfig with_post = base;
-  with_post.kway_postpass = true;
-  const Weight cut_base =
-      connectivity_cut(h, partition_hypergraph(h, base));
-  const Weight cut_post =
-      connectivity_cut(h, partition_hypergraph(h, with_post));
-  EXPECT_LE(cut_post, cut_base);
-}
-
-TEST(Partitioner, VcycleNeverHurts) {
-  const Hypergraph h = random_hypergraph(150, 300, 4, 2, 9);
-  PartitionConfig base;
-  base.num_parts = 4;
-  PartitionConfig with_v = base;
-  with_v.num_vcycles = 2;
-  const Weight cut_base =
-      connectivity_cut(h, partition_hypergraph(h, base));
-  const Weight cut_v = connectivity_cut(h, partition_hypergraph(h, with_v));
-  EXPECT_LE(cut_v, cut_base);
 }
 
 TEST(Partitioner, OddK) {
