@@ -4,7 +4,10 @@
 // with small (64 B per destination slice) and large (64 KiB per slice)
 // payloads. This is the latency tax every IPM coarsening round and
 // refinement pass-pair pays (paper Section 4); the flat-buffer comm core
-// exists to shrink it, and this binary is the proof.
+// exists to shrink it, and this binary is the proof. One application-level
+// case rides along: halo_exchange (dist_app) on auto-like at scale 1,
+// k=16, 2 ranks — the per-iteration cost an adaptive application pays
+// alpha times per epoch.
 //
 // --json=FILE emits one hgr-bench-v1 document whose metrics are flat
 // "<collective>_<size>_p<ranks>_ns_per_call" numbers so
@@ -18,7 +21,12 @@
 
 #include "bench_json.hpp"
 #include "common/timer.hpp"
+#include "hypergraph/convert.hpp"
+#include "metrics/cut.hpp"
 #include "parallel/comm.hpp"
+#include "parallel/dist_app.hpp"
+#include "partition/partitioner.hpp"
+#include "workload/datasets.hpp"
 
 namespace {
 
@@ -33,6 +41,7 @@ struct CommBenchOptions {
 
 constexpr std::size_t kSmallWords = 8;     // 64 B of int64 per slice
 constexpr std::size_t kLargeWords = 8192;  // 64 KiB of int64 per slice
+constexpr int kHaloIters = 200;
 
 /// Run `op(ctx)` iters times on every rank of a p-rank communicator and
 /// return the wall nanoseconds per call measured by rank 0 between two
@@ -92,6 +101,33 @@ double bench_allreduce(int ranks, int warmup, int iters) {
   });
 }
 
+/// One halo iteration on auto-like (scale 1) partitioned into k=16 parts,
+/// parts folded onto `ranks` ranks. Checks once that the shipped words
+/// equal the connectivity-1 cut before timing.
+double bench_halo_exchange(int ranks, int warmup, int iters) {
+  const Hypergraph h = graph_to_hypergraph(make_dataset("auto-like", 1.0, 1));
+  PartitionConfig cfg;
+  cfg.num_parts = 16;
+  const Partition p = partition_hypergraph(h, cfg);
+  std::vector<std::int64_t> values(static_cast<std::size_t>(h.num_vertices()));
+  for (std::size_t v = 0; v < values.size(); ++v)
+    values[v] = static_cast<std::int64_t>(v * 2654435761ULL % 1000) + 1;
+
+  Comm check(ranks);
+  Weight words = 0;
+  check.run([&](RankContext& ctx) {
+    const Weight all = static_cast<Weight>(ctx.allreduce_sum<std::int64_t>(
+        halo_exchange(ctx, h, p, values).words_sent));
+    if (ctx.rank() == 0) words = all;
+  });
+  if (words != connectivity_cut(h, p))
+    throw std::runtime_error("halo words != connectivity cut");
+
+  return time_collective(ranks, warmup, iters, [&](RankContext& ctx) {
+    halo_exchange(ctx, h, p, values);
+  });
+}
+
 int run(const CommBenchOptions& opt) {
   std::string metrics = "{";
   bool first = true;
@@ -116,6 +152,8 @@ int run(const CommBenchOptions& opt) {
         bench_allgather(p, kLargeWords, opt.warmup, opt.iters_large));
     add("allreduce" + suffix, bench_allreduce(p, opt.warmup, opt.iters_small));
   }
+  add("halo_exchange_p2_ns_per_call",
+      bench_halo_exchange(2, opt.warmup, kHaloIters));
   metrics += "}";
 
   if (opt.json_path.empty()) return 0;
@@ -123,10 +161,10 @@ int run(const CommBenchOptions& opt) {
   doc.add_string("dataset", "collectives");
   char config[160];
   std::snprintf(config, sizeof(config),
-                "{\"iters_small\":%d,\"iters_large\":%d,\"warmup\":%d,"
-                "\"small_words\":%zu,\"large_words\":%zu}",
-                opt.iters_small, opt.iters_large, opt.warmup, kSmallWords,
-                kLargeWords);
+                "{\"iters_small\":%d,\"iters_large\":%d,\"iters_halo\":%d,"
+                "\"warmup\":%d,\"small_words\":%zu,\"large_words\":%zu}",
+                opt.iters_small, opt.iters_large, kHaloIters, opt.warmup,
+                kSmallWords, kLargeWords);
   doc.add_raw("config", config);
   doc.add_raw("metrics", metrics);
   if (!doc.write(opt.json_path)) {

@@ -17,13 +17,18 @@ HypergraphBuilder::HypergraphBuilder(Index num_vertices)
 
 Index HypergraphBuilder::add_net(std::span<const Index> pins, Weight cost) {
   HGR_ASSERT(cost >= 0);
-  std::vector<Index> ps(pins.begin(), pins.end());
-  std::sort(ps.begin(), ps.end());
-  ps.erase(std::unique(ps.begin(), ps.end()), ps.end());
-  for (const Index v : ps) HGR_ASSERT(v >= 0 && v < num_vertices_);
-  nets_.push_back(std::move(ps));
+  // The builder is the untyped construction boundary: raw pin integers
+  // become VertexId here, once, on the way into the typed Hypergraph.
+  const auto first = static_cast<std::ptrdiff_t>(pins_.size());
+  for (const Index v : pins) {
+    HGR_ASSERT(v >= 0 && v < num_vertices_);
+    pins_.push_back(VertexId{v});
+  }
+  std::sort(pins_.begin() + first, pins_.end());
+  pins_.erase(std::unique(pins_.begin() + first, pins_.end()), pins_.end());
+  net_offsets_.push_back(static_cast<Index>(pins_.size()));
   net_costs_.push_back(cost);
-  return static_cast<Index>(nets_.size()) - 1;
+  return num_nets_added() - 1;
 }
 
 Index HypergraphBuilder::add_net(std::initializer_list<Index> pins,
@@ -58,31 +63,29 @@ void HypergraphBuilder::set_fixed_part(Index v, PartId part) {
 }
 
 Hypergraph HypergraphBuilder::finalize() {
+  // Drop nets with too few pins by compacting the kept slices to the
+  // front of pins_, in net order.
   const Index min_pins = keep_single_pin_ ? 1 : 2;
-  std::vector<Index> counts;
+  std::vector<Index> offsets{0};
   std::vector<Weight> costs;
-  counts.reserve(nets_.size());
-  for (std::size_t n = 0; n < nets_.size(); ++n) {
-    if (static_cast<Index>(nets_[n].size()) >= min_pins) {
-      counts.push_back(static_cast<Index>(nets_[n].size()));
-      costs.push_back(net_costs_[n]);
-    }
+  offsets.reserve(net_offsets_.size());
+  costs.reserve(net_costs_.size());
+  const auto at = [this](Index i) {
+    return pins_.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  for (std::size_t n = 0; n < net_costs_.size(); ++n) {
+    const Index begin = net_offsets_[n];
+    const Index end = net_offsets_[n + 1];
+    if (end - begin < min_pins) continue;
+    if (offsets.back() != begin)
+      std::copy(at(begin), at(end), at(offsets.back()));  // shift left
+    offsets.push_back(offsets.back() + end - begin);
+    costs.push_back(net_costs_[n]);
   }
-  std::vector<Index> offsets = counts_to_offsets(std::move(counts));
-  // The builder is the untyped construction boundary: raw pin integers
-  // become VertexId here, once, on the way into the typed Hypergraph.
-  std::vector<VertexId> pins(static_cast<std::size_t>(offsets.back()));
-  std::size_t kept = 0;
-  for (std::size_t n = 0; n < nets_.size(); ++n) {
-    if (static_cast<Index>(nets_[n].size()) < min_pins) continue;
-    std::transform(nets_[n].begin(), nets_[n].end(),
-                   pins.begin() + offsets[kept],
-                   [](Index v) { return VertexId{v}; });
-    ++kept;
-  }
+  pins_.resize(static_cast<std::size_t>(offsets.back()));
   std::vector<PartId> fixed;
   if (any_fixed_) fixed = std::move(fixed_);
-  return Hypergraph(std::move(offsets), std::move(pins),
+  return Hypergraph(std::move(offsets), std::move(pins_),
                     std::move(vertex_weights_), std::move(vertex_sizes_),
                     std::move(costs), std::move(fixed));
 }

@@ -43,7 +43,10 @@ class HypergraphBuilder {
 
  private:
   Index num_vertices_;
-  std::vector<std::vector<Index>> nets_;
+  // Added nets in CSR form: net n's sorted, deduplicated pins are
+  // pins_[net_offsets_[n], net_offsets_[n + 1]).
+  std::vector<VertexId> pins_;
+  std::vector<Index> net_offsets_{0};
   std::vector<Weight> net_costs_;
   std::vector<Weight> vertex_weights_;
   std::vector<Weight> vertex_sizes_;

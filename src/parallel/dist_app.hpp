@@ -56,7 +56,12 @@ struct HaloStats {
 
 /// One iteration's communication phase. `values` is the replicated
 /// per-vertex scalar the nets reduce over (any application quantity).
-/// Must be called congruently by all ranks.
+/// Must be called congruently by all ranks. Cost per call: one O(pins)
+/// scan of the nets on every rank, then O(cut) frame building and
+/// checking — only cut nets build per-part partials. Each root rank
+/// asserts that it received exactly the frames the replicated partition
+/// predicts, well-formed and carrying the right partials, so ranks that
+/// disagree about `p` (or a lost or duplicated frame) fail loudly.
 HaloStats halo_exchange(RankContext& ctx, const Hypergraph& h,
                         const Partition& p,
                         const std::vector<std::int64_t>& values);

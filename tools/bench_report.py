@@ -53,6 +53,9 @@ TRACKED = [
     ("metrics.alltoallv_large_p4_ns_per_call", True),
     ("metrics.allgather_large_p4_ns_per_call", True),
     ("metrics.allreduce_p4_ns_per_call", True),
+    # micro_comm's application case: one dist_app halo_exchange iteration
+    # (auto-like scale 1, k=16, 2 ranks).
+    ("metrics.halo_exchange_p2_ns_per_call", True),
     # micro_incremental (O(delta) fast path vs full V-cycle).
     ("metrics.full_seconds.mean", True),
     ("metrics.incremental_seconds.mean", True),
