@@ -127,15 +127,6 @@ inline std::span<const typename StrongId<Tag>::Raw> to_raw(
           ids.size()};
 }
 
-/// Reinterpret a span of raw integers as a span of strong ids: the inverse
-/// of the to_raw() span view, for consuming comm buffers without a copy.
-template <class Id>
-inline std::span<const Id> from_raw_span(
-    std::span<const typename Id::Raw> raw) {
-  static_assert(sizeof(Id) == sizeof(typename Id::Raw));
-  return {reinterpret_cast<const Id*>(raw.data()), raw.size()};
-}
-
 /// Element-wise bulk conversion raw integers -> ids (IO boundary).
 template <class Id, class I>
 inline std::vector<Id> from_raw_vector(const std::vector<I>& raw) {

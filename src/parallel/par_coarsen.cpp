@@ -25,10 +25,9 @@ std::uint64_t hypergraph_checksum(const Hypergraph& h) {
 }
 
 CoarseLevel parallel_contract(RankContext& ctx, const Hypergraph& h,
-                              std::span<const Index> match, Workspace* ws) {
-  // The parallel matching travels as raw ids; retype at this boundary.
-  CoarseLevel level = contract(
-      h, IdSpan<VertexId, const VertexId>(from_raw_span<VertexId>(match)), ws);
+                              IdSpan<VertexId, const VertexId> match,
+                              Workspace* ws) {
+  CoarseLevel level = contract(h, match, ws);
   const std::uint64_t mine = hypergraph_checksum(level.coarse);
   // One fused min/max reduction (one barrier) instead of two.
   struct MinMax {

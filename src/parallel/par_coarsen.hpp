@@ -2,8 +2,6 @@
 // replicated matching, plus a cross-rank consistency check.
 #pragma once
 
-#include <span>
-
 #include "hypergraph/hypergraph.hpp"
 #include "parallel/comm.hpp"
 #include "partition/contract.hpp"
@@ -16,7 +14,7 @@ namespace hgr {
 /// indicate a nondeterministic code path. `ws` (optional, rank-local) pools
 /// the contraction scratch across levels.
 CoarseLevel parallel_contract(RankContext& ctx, const Hypergraph& h,
-                              std::span<const Index> match,
+                              IdSpan<VertexId, const VertexId> match,
                               Workspace* ws = nullptr);
 
 /// Structural checksum used by the consistency check (exposed for tests).

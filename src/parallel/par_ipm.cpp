@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "partition/matching_ipm.hpp"
@@ -11,6 +12,7 @@ namespace hgr {
 namespace {
 
 /// Wire format of a match proposal: (candidate, partner, score, rank).
+/// Raw vertex ids on purpose — this struct crosses the allgatherv boundary.
 struct Proposal {
   Index candidate;
   Index partner;
@@ -18,92 +20,105 @@ struct Proposal {
   std::int32_t rank;
 };
 
+/// Wire format of a committed local match (raw ids, like Proposal).
+struct MatchedPair {
+  Index v;
+  Index u;
+};
+
+/// The rank matchers' partner predicate: score only this rank's own
+/// block [lo, hi), and only vertices still unmatched.
+auto own_unmatched(const IdVector<VertexId, VertexId>& match, Index lo,
+                   Index hi) {
+  return [&match, lo, hi](VertexId u) {
+    return u.v >= lo && u.v < hi && match[u] == u;
+  };
+}
+
+/// The rank matchers' selection among v's scored partners (zeroing every
+/// touched score): highest score among fixed-compatible partners within
+/// the weight cap, then the lighter partner, then the lower id. Returns
+/// {kInvalidVertex, 0} when no partner qualifies.
+std::pair<VertexId, Weight> select_partner(
+    const Hypergraph& h, VertexId v, Weight max_vertex_weight,
+    IdSpan<VertexId, Weight> score, const std::vector<VertexId>& touched) {
+  const PartId fv = h.fixed_part(v);
+  const Weight wv = h.vertex_weight(v);
+  VertexId best = kInvalidVertex;
+  Weight best_score = 0;
+  Weight best_weight = 0;
+  for (const VertexId u : touched) {
+    const Weight s = score[u];
+    score[u] = 0;
+    if (!fixed_compatible(fv, h.fixed_part(u))) continue;
+    const Weight wu = h.vertex_weight(u);
+    if (max_vertex_weight > 0 && wv + wu > max_vertex_weight) continue;
+    if (best == kInvalidVertex || s > best_score ||
+        (s == best_score &&
+         (wu < best_weight || (wu == best_weight && u < best)))) {
+      best = u;
+      best_score = s;
+      best_weight = wu;
+    }
+  }
+  return {best, best_score};
+}
+
 }  // namespace
 
-std::vector<Index> parallel_ipm_matching(RankContext& ctx,
-                                         const Hypergraph& h,
-                                         const PartitionConfig& cfg,
-                                         Weight max_vertex_weight,
-                                         std::uint64_t seed) {
+IdVector<VertexId, VertexId> parallel_ipm_matching(RankContext& ctx,
+                                                   const Hypergraph& h,
+                                                   const PartitionConfig& cfg,
+                                                   Weight max_vertex_weight,
+                                                   std::uint64_t seed) {
   const Index n = h.num_vertices();
-  std::vector<Index> match(static_cast<std::size_t>(n));
-  for (Index v = 0; v < n; ++v) match[static_cast<std::size_t>(v)] = v;
+  IdVector<VertexId, VertexId> match(n);
+  for (const VertexId v : h.vertices()) match[v] = v;
 
   const auto [lo, hi] = block_range(n, ctx.size(), ctx.rank());
   Rng rng(derive_seed(seed, static_cast<std::uint64_t>(ctx.rank())));
+  const auto eligible = own_unmatched(match, lo, hi);
 
   // Local unmatched vertices in random visit order.
-  std::vector<Index> local;
-  for (Index v = lo; v < hi; ++v) local.push_back(v);
+  std::vector<VertexId> local;
+  for (Index v = lo; v < hi; ++v) local.push_back(VertexId{v});
   rng.shuffle(local);
   std::size_t cursor = 0;
 
   const int rounds = 4;
-  std::vector<Weight> score(static_cast<std::size_t>(n), 0);
-  std::vector<Index> touched;
+  IdVector<VertexId, Weight> score(n, 0);
+  std::vector<VertexId> touched;
 
   for (int round = 0; round < rounds; ++round) {
     // Select this round's candidates from the still-unmatched local
     // vertices (an even share per round, the leftovers in the last round).
-    std::vector<Index> candidates;
+    std::vector<VertexId> candidates;
     const std::size_t budget =
         round + 1 == rounds
             ? local.size()
             : (local.size() + rounds - 1) / static_cast<std::size_t>(rounds);
     while (cursor < local.size() && candidates.size() < budget) {
-      const Index v = local[cursor++];
-      if (match[static_cast<std::size_t>(v)] == v &&
-          h.vertex_degree(VertexId{v}) <= cfg.max_matching_degree)
+      const VertexId v = local[cursor++];
+      if (match[v] == v && h.vertex_degree(v) <= cfg.max_matching_degree)
         candidates.push_back(v);
     }
 
     // Broadcast candidates to every rank (rank boundaries are irrelevant
     // here, so the contiguous payload is consumed directly).
-    const FlatBuffer<Index> all_candidates =
-        ctx.allgatherv<Index>({candidates.data(), candidates.size()});
+    const FlatBuffer<VertexId> all_candidates =
+        ctx.allgatherv<VertexId>({candidates.data(), candidates.size()});
 
     // Score every foreign and local candidate against *our* unmatched
     // vertices; emit our best proposal per candidate.
     std::vector<Proposal> proposals;
-    for (const Index c : all_candidates.all()) {
-      if (match[static_cast<std::size_t>(c)] != c) continue;
-      const PartId fc = h.fixed_part(VertexId{c});
-      const Weight wc = h.vertex_weight(VertexId{c});
-      touched.clear();
-      for (const NetId net : h.incident_nets(VertexId{c})) {
-        const Index net_size = h.net_size(net);
-        if (net_size < 2 || net_size > cfg.max_scored_net_size) continue;
-        const Weight cost = h.net_cost(net);
-        if (cost == 0) continue;
-        for (const VertexId pin : h.pins(net)) {
-          const Index u = to_raw(pin);
-          if (u == c || u < lo || u >= hi) continue;  // not ours
-          if (match[static_cast<std::size_t>(u)] != u) continue;
-          if (score[static_cast<std::size_t>(u)] == 0) touched.push_back(u);
-          score[static_cast<std::size_t>(u)] += cost;
-        }
-      }
-      Index best = kInvalidIndex;
-      Weight best_score = 0;
-      Weight best_weight = 0;
-      for (const Index u : touched) {
-        const Weight s = score[static_cast<std::size_t>(u)];
-        score[static_cast<std::size_t>(u)] = 0;
-        if (!fixed_compatible(fc, h.fixed_part(VertexId{u}))) continue;
-        if (max_vertex_weight > 0 &&
-            wc + h.vertex_weight(VertexId{u}) > max_vertex_weight)
-          continue;
-        const Weight wu = h.vertex_weight(VertexId{u});
-        if (best == kInvalidIndex || s > best_score ||
-            (s == best_score &&
-             (wu < best_weight || (wu == best_weight && u < best)))) {
-          best = u;
-          best_score = s;
-          best_weight = wu;
-        }
-      }
-      if (best != kInvalidIndex)
-        proposals.push_back({c, best, best_score,
+    for (const VertexId c : all_candidates.all()) {
+      if (match[c] != c) continue;
+      accumulate_ipm_scores(h, c, cfg.max_scored_net_size, eligible, score,
+                            touched);
+      const auto [best, best_score] =
+          select_partner(h, c, max_vertex_weight, score, touched);
+      if (best != kInvalidVertex)
+        proposals.push_back({to_raw(c), to_raw(best), best_score,
                              static_cast<std::int32_t>(ctx.rank())});
     }
 
@@ -122,115 +137,78 @@ std::vector<Index> parallel_ipm_matching(RankContext& ctx,
       return a.partner < b.partner;
     });
     for (std::size_t i = 0; i < flat.size();) {
-      const Index c = flat[i].candidate;
-      if (match[static_cast<std::size_t>(c)] == c) {
-        for (std::size_t j = i; j < flat.size() && flat[j].candidate == c;
+      const Index raw_c = flat[i].candidate;
+      const VertexId c = from_raw<VertexId>(raw_c);
+      if (match[c] == c) {
+        for (std::size_t j = i; j < flat.size() && flat[j].candidate == raw_c;
              ++j) {
-          const Index u = flat[j].partner;
-          if (u != c && match[static_cast<std::size_t>(u)] == u) {
-            match[static_cast<std::size_t>(c)] = u;
-            match[static_cast<std::size_t>(u)] = c;
+          const VertexId u = from_raw<VertexId>(flat[j].partner);
+          if (u != c && match[u] == u) {
+            match[c] = u;
+            match[u] = c;
             break;
           }
         }
       }
-      while (i < flat.size() && flat[i].candidate == c) ++i;
+      while (i < flat.size() && flat[i].candidate == raw_c) ++i;
     }
   }
 
 #ifndef NDEBUG
-  for (Index v = 0; v < n; ++v)
-    HGR_ASSERT(match[static_cast<std::size_t>(
-                   match[static_cast<std::size_t>(v)])] == v);
+  for (const VertexId v : match.ids()) HGR_ASSERT(match[match[v]] == v);
 #endif
   return match;
 }
 
-std::vector<Index> local_ipm_matching(RankContext& ctx, const Hypergraph& h,
-                                      const PartitionConfig& cfg,
-                                      Weight max_vertex_weight,
-                                      std::uint64_t seed) {
+IdVector<VertexId, VertexId> local_ipm_matching(RankContext& ctx,
+                                                const Hypergraph& h,
+                                                const PartitionConfig& cfg,
+                                                Weight max_vertex_weight,
+                                                std::uint64_t seed) {
   const Index n = h.num_vertices();
-  std::vector<Index> match(static_cast<std::size_t>(n));
-  for (Index v = 0; v < n; ++v) match[static_cast<std::size_t>(v)] = v;
+  IdVector<VertexId, VertexId> match(n);
+  for (const VertexId v : h.vertices()) match[v] = v;
 
   const auto [lo, hi] = block_range(n, ctx.size(), ctx.rank());
   Rng rng(derive_seed(seed, 31 + static_cast<std::uint64_t>(ctx.rank())));
+  const auto eligible = own_unmatched(match, lo, hi);
 
   // Serial first-choice IPM restricted to the local vertex block: both the
-  // initiating vertex and its partner must be owned here.
-  std::vector<Weight> score(static_cast<std::size_t>(n), 0);
-  std::vector<Index> touched;
-  std::vector<Index> order;
-  for (Index v = lo; v < hi; ++v) order.push_back(v);
+  // initiating vertex and its partner are owned here.
+  IdVector<VertexId, Weight> score(n, 0);
+  std::vector<VertexId> touched;
+  std::vector<VertexId> order;
+  for (Index v = lo; v < hi; ++v) order.push_back(VertexId{v});
   rng.shuffle(order);
 
-  std::vector<Index> pairs;  // flat (v, u) list of local matches
-  for (const Index v : order) {
-    if (match[static_cast<std::size_t>(v)] != v) continue;
-    if (h.vertex_degree(VertexId{v}) > cfg.max_matching_degree) continue;
-    const PartId fv = h.fixed_part(VertexId{v});
-    const Weight wv = h.vertex_weight(VertexId{v});
-    touched.clear();
-    for (const NetId net : h.incident_nets(VertexId{v})) {
-      const Index size = h.net_size(net);
-      if (size < 2 || size > cfg.max_scored_net_size) continue;
-      const Weight c = h.net_cost(net);
-      if (c == 0) continue;
-      for (const VertexId pin : h.pins(net)) {
-        const Index u = to_raw(pin);
-        if (u == v || u < lo || u >= hi) continue;  // local partners only
-        if (match[static_cast<std::size_t>(u)] != u) continue;
-        if (score[static_cast<std::size_t>(u)] == 0) touched.push_back(u);
-        score[static_cast<std::size_t>(u)] += c;
-      }
-    }
-    Index best = kInvalidIndex;
-    Weight best_score = 0;
-    Weight best_weight = 0;
-    for (const Index u : touched) {
-      const Weight s = score[static_cast<std::size_t>(u)];
-      score[static_cast<std::size_t>(u)] = 0;
-      if (!fixed_compatible(fv, h.fixed_part(VertexId{u}))) continue;
-      if (max_vertex_weight > 0 &&
-          wv + h.vertex_weight(VertexId{u}) > max_vertex_weight)
-        continue;
-      const Weight wu = h.vertex_weight(VertexId{u});
-      if (best == kInvalidIndex || s > best_score ||
-          (s == best_score &&
-           (wu < best_weight || (wu == best_weight && u < best)))) {
-        best = u;
-        best_score = s;
-        best_weight = wu;
-      }
-    }
-    if (best != kInvalidIndex) {
-      match[static_cast<std::size_t>(v)] = best;
-      match[static_cast<std::size_t>(best)] = v;
-      pairs.push_back(v);
-      pairs.push_back(best);
+  std::vector<MatchedPair> pairs;
+  for (const VertexId v : order) {
+    if (match[v] != v) continue;
+    if (h.vertex_degree(v) > cfg.max_matching_degree) continue;
+    accumulate_ipm_scores(h, v, cfg.max_scored_net_size, eligible, score,
+                          touched);
+    const VertexId best =
+        select_partner(h, v, max_vertex_weight, score, touched).first;
+    if (best != kInvalidVertex) {
+      match[v] = best;
+      match[best] = v;
+      pairs.push_back({to_raw(v), to_raw(best)});
     }
   }
 
   // One exchange replicates every rank's decisions; blocks are disjoint so
   // no conflicts are possible.
-  const FlatBuffer<Index> all_pairs =
-      ctx.allgatherv<Index>({pairs.data(), pairs.size()});
-  for (int s = 0; s < ctx.size(); ++s) {
-    const std::span<const Index> per_rank = all_pairs.slot(s);
-    HGR_ASSERT(per_rank.size() % 2 == 0);
-    for (std::size_t i = 0; i < per_rank.size(); i += 2) {
-      const Index v = per_rank[i];
-      const Index u = per_rank[i + 1];
-      match[static_cast<std::size_t>(v)] = u;
-      match[static_cast<std::size_t>(u)] = v;
-    }
+  const FlatBuffer<MatchedPair> all_pairs =
+      ctx.allgatherv<MatchedPair>({pairs.data(), pairs.size()});
+  for (const MatchedPair& pair : all_pairs.all()) {
+    const VertexId v = from_raw<VertexId>(pair.v);
+    const VertexId u = from_raw<VertexId>(pair.u);
+    match[v] = u;
+    match[u] = v;
   }
 
 #ifndef NDEBUG
-  for (Index v = 0; v < n; ++v)
-    HGR_ASSERT(match[static_cast<std::size_t>(
-                   match[static_cast<std::size_t>(v)])] == v);
+  for (const VertexId v : match.ids()) HGR_ASSERT(match[match[v]] == v);
 #endif
   return match;
 }

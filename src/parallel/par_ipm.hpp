@@ -48,12 +48,13 @@ inline std::pair<Index, Index> block_range(Index n, int size, int r) {
 }
 
 /// Round-based parallel IPM. Must be called congruently by all ranks of
-/// ctx; every rank returns the identical full matching vector.
-std::vector<Index> parallel_ipm_matching(RankContext& ctx,
-                                         const Hypergraph& h,
-                                         const PartitionConfig& cfg,
-                                         Weight max_vertex_weight,
-                                         std::uint64_t seed);
+/// ctx; every rank returns the identical full matching (match[v] ==
+/// partner, v when unmatched), typed like the serial ipm_matching.
+IdVector<VertexId, VertexId> parallel_ipm_matching(RankContext& ctx,
+                                                   const Hypergraph& h,
+                                                   const PartitionConfig& cfg,
+                                                   Weight max_vertex_weight,
+                                                   std::uint64_t seed);
 
 /// Local IPM — the paper's future-work speedup ("We plan to improve this
 /// performance by using local heuristics ... e.g., using local IPM instead
@@ -63,9 +64,10 @@ std::vector<Index> parallel_ipm_matching(RankContext& ctx,
 /// price is losing cross-rank matches (quality measured by
 /// bench/parallel_scaling). Same congruence and postconditions as the
 /// global version.
-std::vector<Index> local_ipm_matching(RankContext& ctx, const Hypergraph& h,
-                                      const PartitionConfig& cfg,
-                                      Weight max_vertex_weight,
-                                      std::uint64_t seed);
+IdVector<VertexId, VertexId> local_ipm_matching(RankContext& ctx,
+                                                const Hypergraph& h,
+                                                const PartitionConfig& cfg,
+                                                Weight max_vertex_weight,
+                                                std::uint64_t seed);
 
 }  // namespace hgr

@@ -97,7 +97,7 @@ ParallelPartitionResult parallel_partition_hypergraph(
         if (current->num_vertices() <= stop_size) break;
         const std::uint64_t level_seed =
             derive_seed(cfg.base.seed, static_cast<std::uint64_t>(level));
-        const std::vector<Index> match =
+        const IdVector<VertexId, VertexId> match =
             cfg.local_matching
                 ? local_ipm_matching(ctx, *current, cfg.base,
                                      max_vertex_weight, level_seed)
@@ -111,9 +111,8 @@ ParallelPartitionResult parallel_partition_hypergraph(
         // Only the lead rank validates: the level is replicated and
         // parallel_contract already checksums cross-rank agreement.
         if (lead) {
-          record_coarsen_level(
-              current->num_vertices(), next.coarse.num_vertices(),
-              IdSpan<VertexId, const VertexId>(from_raw_span<VertexId>(match)));
+          record_coarsen_level(current->num_vertices(),
+                               next.coarse.num_vertices(), match);
           check::validate_coarsening(*current, next, cfg.base.check_level);
         }
         levels.push_back(std::move(next));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -10,6 +11,7 @@
 #include "metrics/cut.hpp"
 #include "obs/trace.hpp"
 #include "parallel/par_ipm.hpp"  // block_range
+#include "partition/gain_cache.hpp"
 
 namespace hgr {
 
@@ -24,120 +26,41 @@ struct MoveProposal {
   Weight gain;
 };
 
-/// Replicated refinement state: pins-per-part table and part weights.
-class State {
- public:
-  State(const Hypergraph& h, Partition& p, double epsilon)
-      : h_(h), p_(p), k_(p.k) {
-    counts_.assign(static_cast<std::size_t>(h.num_nets()) *
-                       static_cast<std::size_t>(k_),
-                   0);
-    for (const NetId net : h.nets())
-      for (const VertexId v : h.pins(net)) ++at(net, p[v]);
-    part_w_ = part_weights(h.vertex_weights(), p);
-    max_w_ = hgr::max_part_weight(h.total_vertex_weight(), k_, epsilon);
-    cand_seen_.assign(static_cast<std::size_t>(k_), 0);
-  }
-
-  Weight max_part_weight() const { return max_w_; }
-  Weight part_weight(PartId q) const { return part_w_[q]; }
-  std::uint64_t gain_evals() const { return gain_evals_; }
-
-  /// Connectivity-1 gain of moving v to q (negative if it hurts).
-  Weight gain(VertexId v, PartId q) const {
-    const PartId from = p_[v];
-    if (q == from) return 0;
-    Weight g = 0;
-    for (const NetId net : h_.incident_nets(v)) {
-      const Weight c = h_.net_cost(net);
-      if (count(net, from) == 1) g += c;
-      if (count(net, q) == 0) g -= c;
-    }
-    return g;
-  }
-
-  /// Best positive-gain feasible destination for v, or kNoPart.
-  std::pair<PartId, Weight> best_move(VertexId v) const {
-    const PartId from = p_[v];
-    const Weight wv = h_.vertex_weight(v);
-    // Candidate parts: those adjacent through v's nets, deduplicated with
-    // a stamp array so gain() runs once per distinct part rather than once
-    // per pin (dense nets repeat the same part thousands of times).
-    ++stamp_;
-    candidates_.clear();
-    for (const NetId net : h_.incident_nets(v)) {
-      for (const VertexId u : h_.pins(net)) {
-        const PartId q = p_[u];
-        if (q == from) continue;
-        std::uint64_t& seen = cand_seen_[static_cast<std::size_t>(q.v)];
-        if (seen == stamp_) continue;
-        seen = stamp_;
-        candidates_.push_back(q);
-      }
-    }
-    PartId best = kNoPart;
-    Weight best_gain = 0;
-    for (const PartId q : candidates_) {
-      if (part_weight(q) + wv > max_w_) continue;
-      ++gain_evals_;
-      const Weight g = gain(v, q);
-      if (g > best_gain ||
-          (g == best_gain && best != kNoPart && q < best)) {
-        best = q;
-        best_gain = g;
-      }
-    }
-    return {best, best_gain};
-  }
-
-  void apply(VertexId v, PartId to) {
-    const PartId from = p_[v];
-    HGR_DASSERT(from != to);
-    for (const NetId net : h_.incident_nets(v)) {
-      --at(net, from);
-      ++at(net, to);
-    }
-    part_w_[from] -= h_.vertex_weight(v);
-    part_w_[to] += h_.vertex_weight(v);
-    p_[v] = to;
-  }
-
- private:
-  Index& at(NetId net, PartId q) {
-    return counts_[static_cast<std::size_t>(net.v) *
-                       static_cast<std::size_t>(k_) +
-                   static_cast<std::size_t>(q.v)];
-  }
-  Index count(NetId net, PartId q) const {
-    return counts_[static_cast<std::size_t>(net.v) *
-                       static_cast<std::size_t>(k_) +
-                   static_cast<std::size_t>(q.v)];
-  }
-
-  const Hypergraph& h_;
-  Partition& p_;
-  Index k_;
-  std::vector<Index> counts_;
-  IdVector<PartId, Weight> part_w_;
-  Weight max_w_ = 0;
-  // best_move scratch (logically const: caches, not state).
-  mutable std::vector<std::uint64_t> cand_seen_;
-  mutable std::uint64_t stamp_ = 0;
-  mutable std::vector<PartId> candidates_;
-  mutable std::uint64_t gain_evals_ = 0;
-};
-
 }  // namespace
 
 ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
                                 Partition& p, const PartitionConfig& cfg,
                                 std::uint64_t seed) {
   ParRefineResult result;
-  result.initial_cut = connectivity_cut(h, p);
-  result.final_cut = result.initial_cut;
-  if (p.k <= 1) return result;
+  if (p.k <= 1) return result;  // one part: nothing is cut
 
-  State state(h, p, cfg.epsilon);
+  GainCache cache(h, p);
+  result.initial_cut = cache.cut();
+  const Weight max_pw = max_part_weight(h.total_vertex_weight(), p.k,
+                                        cfg.epsilon);
+  std::vector<PartId> candidates;
+  std::vector<std::uint64_t> words;
+  std::uint64_t gain_evals = 0;
+  // Proposal rule: the best strictly positive-gain feasible destination
+  // against the pass-start cache, or kNoPart. Candidates ascend and only
+  // a strictly better gain replaces the incumbent, so ties go to the
+  // lowest part id. Each distinct part is evaluated once.
+  const auto propose = [&](VertexId v) -> std::pair<PartId, Weight> {
+    cache.candidate_parts_into(candidates, v, words);
+    PartId best = kNoPart;
+    Weight best_gain = 0;
+    for (const PartId q : candidates) {
+      if (cache.part_weight(q) + h.vertex_weight(v) > max_pw) continue;
+      ++gain_evals;
+      const Weight g = cache.move_gain(v, q);
+      if (g > best_gain) {
+        best = q;
+        best_gain = g;
+      }
+    }
+    return {best, best_gain};
+  };
+
   const auto [lo, hi] = block_range(h.num_vertices(), ctx.size(), ctx.rank());
   Rng rng(derive_seed(seed, 77 + static_cast<std::uint64_t>(ctx.rank())));
 
@@ -146,7 +69,6 @@ ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
   // over ranks.
   const bool lead = ctx.rank() == 0;
 
-  Weight cut = result.initial_cut;
   for (Index pass = 0; pass < cfg.max_refine_passes; ++pass) {
     ++result.passes;
 
@@ -159,9 +81,8 @@ ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
     for (const Index vi : owned) {
       const VertexId v{vi};
       if (h.fixed_part(v) != kNoPart) continue;
-      const auto [to, gain] = state.best_move(v);
-      if (to != kNoPart && gain > 0)
-        proposals.push_back({to_raw(v), to, gain});
+      const auto [to, gain] = propose(v);
+      if (to != kNoPart) proposals.push_back({to_raw(v), to, gain});
     }
     static obs::CachedCounter proposals_counter("refine.proposals");
     proposals_counter += proposals.size();
@@ -183,18 +104,16 @@ ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
     for (const MoveProposal& m : flat) {
       const VertexId v = from_raw<VertexId>(m.vertex);
       if (p[v] == m.to) continue;
-      const Weight g = state.gain(v, m.to);
-      if (g <= 0) {
+      if (cache.move_gain(v, m.to) <= 0) {
         ++rejected_gain;
         continue;
       }
-      if (state.part_weight(m.to) + h.vertex_weight(v) >
-          state.max_part_weight()) {
+      if (cache.part_weight(m.to) + h.vertex_weight(v) > max_pw) {
         ++rejected_balance;
         continue;
       }
-      state.apply(v, m.to);
-      cut -= g;
+      cache.apply_move(v, m.to);
+      p[v] = m.to;
       ++applied;
     }
     result.moves += applied;
@@ -218,8 +137,9 @@ ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
     if (applied == 0) break;
   }
   static obs::CachedCounter gain_evals_counter("refine.gain_evals");
-  gain_evals_counter += state.gain_evals();
-  result.final_cut = cut;
+  gain_evals_counter += gain_evals;
+  result.final_cut = cache.cut();
+  cache.validate(cfg.check_level);
   HGR_DASSERT(result.final_cut == connectivity_cut(h, p));
   return result;
 }

@@ -1,11 +1,13 @@
 // Parallel refinement (paper §4.3): a localized FM variant.
 //
-// Each pass, every rank scans the vertices it owns against the replicated
-// pass-start state and proposes its best positive-gain moves; proposals are
-// exchanged (the counted communication), then applied in a deterministic
-// global order with revalidation — each move re-checks its gain and the
-// balance constraint against the evolving state, so all ranks end the pass
-// with identical partitions. Fixed vertices never move.
+// Each rank keeps a replicated GainCache (the same incremental cut/gain
+// structure the serial refiners use). Each pass, every rank scans the
+// vertices it owns against the pass-start cache and proposes its best
+// positive-gain moves; proposals are exchanged (the counted communication),
+// then applied in a deterministic global order with revalidation — each
+// move re-checks its gain and the balance constraint against the evolving
+// cache, so all ranks end the pass with identical partitions. Fixed
+// vertices never move.
 #pragma once
 
 #include "hypergraph/hypergraph.hpp"

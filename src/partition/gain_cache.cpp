@@ -83,6 +83,46 @@ void GainCache::candidate_parts_into(std::vector<PartId>& out, VertexId v,
   }
 }
 
+std::pair<PartId, Weight> GainCache::best_move(
+    VertexId v, Weight max_part_weight, bool shed_overweight_source,
+    MoveScratch& scratch) const {
+  std::vector<PartId>& candidates = scratch.candidates_.get();
+  candidate_parts_into(candidates, v, scratch.words_.get());
+  if (candidates.empty()) return {kNoPart, 0};
+  std::vector<Weight>& gain_to = scratch.gain_to_.get();
+  if (gain_to.size() != static_cast<std::size_t>(k_))
+    gain_to.assign(static_cast<std::size_t>(k_), 0);
+  // gain(v -> q) = leave_gain(v) + gain_to[q], where gain_to accumulates
+  // the entering penalty (<= 0) of v's nets that do not touch q.
+  for (const NetId net : h_.incident_nets(v)) {
+    const Weight c = h_.net_cost(net);
+    if (c == 0) continue;
+    for (const PartId q : candidates)
+      if (!net_touches(net, q)) gain_to[static_cast<std::size_t>(q.v)] -= c;
+  }
+  const Weight from_w = part_weight(part_of(v));
+  const Weight wv = h_.vertex_weight(v);
+  PartId best = kNoPart;
+  Weight best_gain = 0;
+  Weight best_dest_w = 0;
+  for (const PartId q : candidates) {
+    const Weight g = leave_gain(v) + gain_to[static_cast<std::size_t>(q.v)];
+    gain_to[static_cast<std::size_t>(q.v)] = 0;  // restore the zero state
+    const Weight dest_w = part_weight(q);
+    if (dest_w + wv > max_part_weight) continue;
+    const bool improves_balance = from_w > dest_w + wv;
+    if (!shed_overweight_source && (g < 0 || (g == 0 && !improves_balance)))
+      continue;
+    if (best == kNoPart || g > best_gain ||
+        (g == best_gain && dest_w < best_dest_w)) {
+      best = q;
+      best_gain = g;
+      best_dest_w = dest_w;
+    }
+  }
+  return {best, best_gain};
+}
+
 void GainCache::note_move() {
   static obs::CachedCounter moves("gain_cache.moves");
   moves += 1;

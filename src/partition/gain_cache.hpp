@@ -1,5 +1,6 @@
 // GainCache: the incremental cut/gain structure behind every move-based
-// stage (k-way refinement, FM bisection, and the O(delta) epoch fast path).
+// stage (k-way refinement, FM bisection, rank-parallel refinement, and the
+// O(delta) epoch fast path).
 //
 // It maintains, under a stream of apply_move(v, to) calls:
 //   - pins(net, part): the dense pins-per-part table,
@@ -12,6 +13,9 @@
 //     move_gain(v, q) = leave_gain(v) - sum_{nets j of v: pins(j,q)==0} c_j
 //     costs O(deg(v)) instead of O(sum |net|).
 //
+// best_move() is the one k-way move rule, shared by kway_refine and the
+// epoch fast path.
+//
 // Refiners that keep their own per-vertex gain tables (FM's priority
 // queues) subscribe to the four classic delta-gain events via the listener
 // passed to apply_move; the cache fires them only for nets with nonzero
@@ -23,6 +27,8 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "check/check_level.hpp"
 #include "common/assert.hpp"
@@ -39,6 +45,21 @@ struct NullMoveListener {
   void sole_pin_joined(NetId, VertexId, PartId, Weight) {}
   void net_lost_part(NetId, PartId, Weight) {}
   void sole_pin_remains(NetId, VertexId, PartId, Weight) {}
+};
+
+/// Caller-owned scratch for GainCache::best_move, borrowed from `ws`
+/// (plain locals when null). One per thread: concurrent readers of one
+/// frozen cache each bring their own.
+class MoveScratch {
+ public:
+  explicit MoveScratch(Workspace* ws)
+      : candidates_(ws), gain_to_(ws), words_(ws) {}
+
+ private:
+  friend class GainCache;
+  Borrowed<PartId> candidates_;
+  Borrowed<Weight> gain_to_;  // k zeros between calls
+  Borrowed<std::uint64_t> words_;
 };
 
 class GainCache {
@@ -96,6 +117,17 @@ class GainCache {
   /// one frozen cache as long as each thread brings its own scratch.
   void candidate_parts_into(std::vector<PartId>& out, VertexId v,
                             std::vector<std::uint64_t>& scratch) const;
+
+  /// The k-way move rule: the best destination for v among the parts its
+  /// nets touch, with its gain, or {kNoPart, 0}. A move is feasible when
+  /// the destination stays within max_part_weight, and acceptable when its
+  /// gain is positive or zero with strictly better balance; among those,
+  /// highest gain wins, then lightest destination, then lowest part id.
+  /// shed_overweight_source waives acceptability (not feasibility), so an
+  /// overweight source part may shed v even at negative gain.
+  std::pair<PartId, Weight> best_move(VertexId v, Weight max_part_weight,
+                                      bool shed_overweight_source,
+                                      MoveScratch& scratch) const;
 
   /// Moves v to part `to`, updating every maintained quantity in
   /// O(deg(v)) (+ a sole-pin scan for nets crossing the 1<->2 pin

@@ -99,19 +99,9 @@ IdVector<VertexId, VertexId> ipm_matching(const Hypergraph& h,
         const PartId fv = h.fixed_part(v);
         const Weight wv = h.vertex_weight(v);
 
-        touched.clear();
-        for (const NetId net : h.incident_nets(v)) {
-          const Index size = h.net_size(net);
-          if (size < 2 || size > cfg.max_scored_net_size) continue;
-          const Weight c = h.net_cost(net);
-          if (c == 0) continue;
-          for (const VertexId u : h.pins(net)) {
-            if (u == v) continue;
-            if (match[u] != u) continue;
-            if (score[u] == 0) touched.push_back(u);
-            score[u] += c;
-          }
-        }
+        accumulate_ipm_scores(
+            h, v, cfg.max_scored_net_size,
+            [&](VertexId u) { return match[u] == u; }, score, touched);
 
         // Selection: highest inner product among feasible partners; ties
         // prefer the lighter partner (balances coarse weights), then the

@@ -32,6 +32,31 @@ IdVector<VertexId, VertexId> ipm_matching(const Hypergraph& h,
                                           Weight max_vertex_weight, Rng& rng,
                                           Workspace* ws = nullptr);
 
+/// The one IPM score accumulator (serial and rank-parallel matchers):
+/// over v's nets of 2..max_scored_net_size pins and nonzero cost, adds the
+/// net cost to score[u] for every other pin u with eligible(u). `touched`
+/// receives each scored u once, in first-score order; `score` must be zero
+/// on entry wherever eligible, and the caller zeroes the touched entries
+/// as it reads them.
+template <typename Eligible>
+void accumulate_ipm_scores(const Hypergraph& h, VertexId v,
+                           Index max_scored_net_size, Eligible&& eligible,
+                           IdSpan<VertexId, Weight> score,
+                           std::vector<VertexId>& touched) {
+  touched.clear();
+  for (const NetId net : h.incident_nets(v)) {
+    const Index size = h.net_size(net);
+    if (size < 2 || size > max_scored_net_size) continue;
+    const Weight c = h.net_cost(net);
+    if (c == 0) continue;
+    for (const VertexId u : h.pins(net)) {
+      if (u == v || !eligible(u)) continue;
+      if (score[u] == 0) touched.push_back(u);
+      score[u] += c;
+    }
+  }
+}
+
 /// True iff the fixed parts allow u and v to merge (cases 1-3 of §4.1).
 inline bool fixed_compatible(PartId fu, PartId fv) {
   return fu == kNoPart || fv == kNoPart || fu == fv;

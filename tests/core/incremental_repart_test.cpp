@@ -11,6 +11,7 @@
 #include "metrics/balance.hpp"
 #include "metrics/cut.hpp"
 #include "obs/trace.hpp"
+#include "partition/kway_refine.hpp"
 #include "test_util.hpp"
 #include "workload/generators.hpp"
 #include "workload/perturb.hpp"
@@ -188,6 +189,45 @@ TEST(IncrementalRepart, UnfixableImbalanceEscalates) {
   EXPECT_FALSE(out.accepted);
   EXPECT_EQ(out.reason, "imbalance");
   EXPECT_EQ(out.partition[VertexId{0}], PartId{0});  // fixed vertex untouched
+}
+
+TEST(IncrementalRepart, OverweightSourceShedsAtNegativeGain) {
+  // Part 0 = {0,1,2,3} is one over the bound (max part weight 3). Every
+  // move out of it costs cut (the path nets {0,1},{1,2},{2,3} stay in part
+  // 0); only the heavy net A = {0..5} is cut, so the baseline cut is 20.
+  HypergraphBuilder b(6);
+  b.add_net({0, 1, 2, 3, 4, 5}, 20);
+  b.add_net({0, 1}, 1);
+  b.add_net({1, 2}, 1);
+  b.add_net({2, 3}, 1);
+  b.add_net({4, 5}, 1);
+  const Hypergraph h = b.finalize();
+  Partition p(2, 6);
+  for (Index v = 0; v < 6; ++v) p[VertexId{v}] = PartId{v < 4 ? 0 : 1};
+  const Weight baseline = connectivity_cut(h, p);
+  ASSERT_EQ(baseline, 20);
+
+  RepartitionerConfig cfg = inc_cfg(2, IncrementalMode::kOn);
+  cfg.partition.epsilon = 0.0;
+  IncrementalRepartitioner inc;
+  inc.note_full(baseline);
+  const IncrementalOutcome out = inc.try_epoch(h, p, EpochDelta{}, cfg);
+  // The fast path sheds an end of the path at gain -1 and accepts: balance
+  // is restored and drift 1/20 stays under the default 0.10.
+  EXPECT_TRUE(out.accepted) << out.reason;
+  EXPECT_EQ(out.moves, 1);
+  EXPECT_EQ(out.cut, baseline + 1);
+  EXPECT_EQ(out.cut, connectivity_cut(h, out.partition));
+  EXPECT_EQ(out.imbalance, 0.0);
+
+  // The k-way refiner's rule takes no negative-gain move, so it leaves the
+  // overweight part as it is.
+  Partition kp = p;
+  Rng rng(1);
+  const KwayRefineResult r = kway_refine(h, kp, cfg.partition, rng, 4);
+  EXPECT_EQ(r.moves, 0);
+  EXPECT_EQ(r.final_cut, baseline);
+  EXPECT_EQ(kp.assignment, p.assignment);
 }
 
 TEST(TieredRepartition, AcceptedFastPathIsRecordedAsIncrementalTier) {

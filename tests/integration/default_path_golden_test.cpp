@@ -3,11 +3,11 @@
 // The hashes were recorded once and must never change by accident — a
 // refactor or deletion that claims "bit-identical results" is held to that
 // claim here. Covered paths: the serial partitioner (at 1 and 2 threads,
-// which must agree), the 2-rank parallel partitioner (which runs the
-// direct k-way kernel per rank for its initial partition), and the
-// two-tier repartitioner over three epochs of an AMR-like (weight
-// perturbation, 2-rank full tier) and a drift-like (small structural churn,
-// serial, incremental-eligible) scenario.
+// which must agree), the 2-rank parallel partitioner with global and with
+// local IPM matching (both run the direct k-way kernel per rank for their
+// initial partition), and the two-tier repartitioner over three epochs of
+// an AMR-like (weight perturbation, 2-rank full tier) and a drift-like
+// (small structural churn, serial, incremental-eligible) scenario.
 //
 // A deliberate algorithm change that alters results must regenerate the
 // table (the failure messages print every actual hash) and say so.
@@ -53,48 +53,51 @@ struct GoldenCase {
   std::uint64_t seed;
   std::uint64_t serial;    // partition_hypergraph, threads 1 and 2
   std::uint64_t parallel;  // parallel_partition_hypergraph, 2 ranks
+  std::uint64_t local;     // same, with local_matching = true
   std::uint64_t amr;       // tiered repart, weight perturbation, 3 epochs
   std::uint64_t drift;     // tiered repart, structural churn, 3 epochs
 };
 
 // Recorded from the library before the serial partitioner lost its
-// alternative k-way methods, gain-bucket queue, post-pass and V-cycles.
+// alternative k-way methods, gain-bucket queue, post-pass and V-cycles;
+// the `local` column before the rank matchers and the rank-parallel
+// refiner moved onto the shared IPM scorer and GainCache.
 constexpr GoldenCase kCases[] = {
     {"auto-like", 0.1, 4, 1,
-     0xe0ea9a7f395d8cb5ull, 0x50fe85d3b7e83a65ull,
+     0xe0ea9a7f395d8cb5ull, 0x50fe85d3b7e83a65ull, 0x7c634fb6efa52b46ull,
      0xf9eaefc39107e0d4ull, 0x91f238b9e1f60257ull},
     {"auto-like", 0.1, 4, 7,
-     0x61e0c5a8cd3a74b5ull, 0x6ea37968e23c7dc5ull,
+     0x61e0c5a8cd3a74b5ull, 0x6ea37968e23c7dc5ull, 0x9533f42b5b60c985ull,
      0x491780246850eef4ull, 0x153cdeaf5e7d7134ull},
     {"auto-like", 0.1, 16, 1,
-     0xf91b03c9ee7f2365ull, 0x63dac1eebf7e7fd6ull,
+     0xf91b03c9ee7f2365ull, 0x63dac1eebf7e7fd6ull, 0x8375f11bc1346af3ull,
      0x1ccfe3cb2555ad50ull, 0x1f6f9ae4db4490d2ull},
     {"auto-like", 0.1, 16, 7,
-     0x122e9b8bf9552645ull, 0x71af3878c3bace6full,
+     0x122e9b8bf9552645ull, 0x71af3878c3bace6full, 0x57fa92dd510c4f33ull,
      0xd66b69b278d4d769ull, 0xf687fa2c85048c3full},
     {"xyce680s-like", 0.08, 4, 1,
-     0xe1e1b6afc8311517ull, 0x53513e37c9c1a924ull,
+     0xe1e1b6afc8311517ull, 0x53513e37c9c1a924ull, 0x6340145d1b906125ull,
      0xc0dc8fa03ce792a6ull, 0xb90b61c014b6c046ull},
     {"xyce680s-like", 0.08, 4, 7,
-     0x2c43990364210016ull, 0x8ca26e870e4df425ull,
+     0x2c43990364210016ull, 0x8ca26e870e4df425ull, 0xe17c5017b6f50ff7ull,
      0x599f62131638f546ull, 0x28491ad6cdfb0d56ull},
     {"xyce680s-like", 0.08, 16, 1,
-     0xe5c367f16512db74ull, 0x5a52ec1bf6826e6dull,
+     0xe5c367f16512db74ull, 0x5a52ec1bf6826e6dull, 0xa5f94f17c51635a1ull,
      0x38231f7a1fe84118ull, 0xf47e449f9c5c4591ull},
     {"xyce680s-like", 0.08, 16, 7,
-     0x54edcbf8d9f10fb4ull, 0x50c7268cfc2608b0ull,
+     0x54edcbf8d9f10fb4ull, 0x50c7268cfc2608b0ull, 0x3dbd9c1efa3977b1ull,
      0x8cc70c5205400de1ull, 0xc3ef3d4ab635bbddull},
     {"cage14-like", 0.04, 4, 1,
-     0xb381cc2ac857ec45ull, 0x15ce1523c6f22884ull,
+     0xb381cc2ac857ec45ull, 0x15ce1523c6f22884ull, 0x3aaea6b4abddded6ull,
      0x157c86ab5e8b2cb5ull, 0x5cb9619ff3fbf275ull},
     {"cage14-like", 0.04, 4, 7,
-     0x0aa9ac5e8f181116ull, 0x5c4fb4aca4520594ull,
+     0x0aa9ac5e8f181116ull, 0x5c4fb4aca4520594ull, 0x1547da2a3771e4a6ull,
      0x2632e1ad5c924f16ull, 0xa4b0995c0374f275ull},
     {"cage14-like", 0.04, 16, 1,
-     0x59fdffaf5987c2daull, 0xe5fb9caccfeec023ull,
+     0x59fdffaf5987c2daull, 0xe5fb9caccfeec023ull, 0x297b43a3c46fba85ull,
      0xcc8e5b53255efc09ull, 0x423b9a1e9fc36ee2ull},
     {"cage14-like", 0.04, 16, 7,
-     0x9ab621412861aa5full, 0x6831a1c39ce1699bull,
+     0x9ab621412861aa5full, 0x6831a1c39ce1699bull, 0xfa9651b5b30e26daull,
      0xd899a533dab21e70ull, 0x0355295b016d54efull},
 };
 
@@ -179,6 +182,18 @@ TEST_P(DefaultPathGolden, ParallelPartitionAtTwoRanks) {
   cfg.base = base_config(c);
   EXPECT_EQ(fnv1a(parallel_partition_hypergraph(h, cfg).partition),
             c.parallel)
+      << label(c);
+}
+
+TEST_P(DefaultPathGolden, ParallelPartitionAtTwoRanksLocalMatching) {
+  const GoldenCase& c = GetParam();
+  const Hypergraph h =
+      graph_to_hypergraph(make_dataset(c.dataset, c.scale, c.seed));
+  ParallelPartitionConfig cfg;
+  cfg.num_ranks = 2;
+  cfg.local_matching = true;
+  cfg.base = base_config(c);
+  EXPECT_EQ(fnv1a(parallel_partition_hypergraph(h, cfg).partition), c.local)
       << label(c);
 }
 

@@ -36,7 +36,7 @@ TEST(ParallelIpm, AllRanksAgreeAndInvolution) {
   PartitionConfig cfg;
   Comm comm(4);
   std::mutex m;
-  std::vector<std::vector<Index>> results;
+  std::vector<IdVector<VertexId, VertexId>> results;
   comm.run([&](RankContext& ctx) {
     const auto match = parallel_ipm_matching(ctx, h, cfg, 0, 99);
     std::lock_guard lock(m);
@@ -45,10 +45,8 @@ TEST(ParallelIpm, AllRanksAgreeAndInvolution) {
   ASSERT_EQ(results.size(), 4u);
   for (std::size_t r = 1; r < results.size(); ++r)
     EXPECT_EQ(results[r], results[0]);
-  for (Index v = 0; v < 80; ++v)
-    EXPECT_EQ(results[0][static_cast<std::size_t>(
-                  results[0][static_cast<std::size_t>(v)])],
-              v);
+  for (const VertexId v : h.vertices())
+    EXPECT_EQ(results[0][results[0][v]], v);
 }
 
 TEST(ParallelIpm, RespectsFixedCompatibility) {
@@ -60,7 +58,7 @@ TEST(ParallelIpm, RespectsFixedCompatibility) {
   PartitionConfig cfg;
   Comm comm(3);
   std::mutex m;
-  std::vector<Index> match;
+  IdVector<VertexId, VertexId> match;
   comm.run([&](RankContext& ctx) {
     auto result = parallel_ipm_matching(ctx, h, cfg, 0, 7);
     if (ctx.rank() == 0) {
@@ -68,11 +66,10 @@ TEST(ParallelIpm, RespectsFixedCompatibility) {
       match = std::move(result);
     }
   });
-  for (Index v = 0; v < 60; ++v) {
-    const Index u = match[static_cast<std::size_t>(v)];
+  for (const VertexId v : h.vertices()) {
+    const VertexId u = match[v];
     if (u != v) {
-      EXPECT_TRUE(
-          fixed_compatible(h.fixed_part(VertexId{v}), h.fixed_part(VertexId{u})));
+      EXPECT_TRUE(fixed_compatible(h.fixed_part(v), h.fixed_part(u)));
     }
   }
 }
@@ -85,7 +82,7 @@ TEST(ParallelIpm, MatchesAcrossRankBoundaries) {
   PartitionConfig cfg;
   Comm comm(4);
   std::mutex m;
-  std::vector<Index> match;
+  IdVector<VertexId, VertexId> match;
   comm.run([&](RankContext& ctx) {
     auto result = parallel_ipm_matching(ctx, h, cfg, 0, 13);
     if (ctx.rank() == 0) {
@@ -95,11 +92,11 @@ TEST(ParallelIpm, MatchesAcrossRankBoundaries) {
   });
   Index cross_rank = 0;
   Index matched = 0;
-  for (Index v = 0; v < 40; ++v) {
-    const Index u = match[static_cast<std::size_t>(v)];
+  for (const VertexId v : h.vertices()) {
+    const VertexId u = match[v];
     if (u == v) continue;
     ++matched;
-    if (block_owner(v, 40, 4) != block_owner(u, 40, 4)) ++cross_rank;
+    if (block_owner(v.v, 40, 4) != block_owner(u.v, 40, 4)) ++cross_rank;
   }
   EXPECT_GT(matched, 20);
   EXPECT_GT(cross_rank, 0);  // boundary pairs really do match
@@ -128,7 +125,7 @@ TEST(LocalIpm, RanksAgreeInvolutionAndBlockLocality) {
   PartitionConfig cfg;
   Comm comm(4);
   std::mutex m;
-  std::vector<std::vector<Index>> results;
+  std::vector<IdVector<VertexId, VertexId>> results;
   comm.run([&](RankContext& ctx) {
     const auto match = local_ipm_matching(ctx, h, cfg, 0, 55);
     std::lock_guard lock(m);
@@ -138,13 +135,13 @@ TEST(LocalIpm, RanksAgreeInvolutionAndBlockLocality) {
   for (std::size_t r = 1; r < results.size(); ++r)
     EXPECT_EQ(results[r], results[0]);
   Index matched = 0;
-  for (Index v = 0; v < 80; ++v) {
-    const Index u = results[0][static_cast<std::size_t>(v)];
-    EXPECT_EQ(results[0][static_cast<std::size_t>(u)], v);
+  for (const VertexId v : h.vertices()) {
+    const VertexId u = results[0][v];
+    EXPECT_EQ(results[0][u], v);
     if (u != v) {
       ++matched;
       // Local matching never crosses rank blocks.
-      EXPECT_EQ(block_owner(v, 80, 4), block_owner(u, 80, 4));
+      EXPECT_EQ(block_owner(v.v, 80, 4), block_owner(u.v, 80, 4));
     }
   }
   EXPECT_GT(matched, 10);
@@ -159,7 +156,7 @@ TEST(LocalIpm, RespectsFixedCompatibility) {
   PartitionConfig cfg;
   Comm comm(3);
   std::mutex m;
-  std::vector<Index> match;
+  IdVector<VertexId, VertexId> match;
   comm.run([&](RankContext& ctx) {
     auto result = local_ipm_matching(ctx, h, cfg, 0, 8);
     if (ctx.rank() == 0) {
@@ -167,11 +164,10 @@ TEST(LocalIpm, RespectsFixedCompatibility) {
       match = std::move(result);
     }
   });
-  for (Index v = 0; v < 60; ++v) {
-    const Index u = match[static_cast<std::size_t>(v)];
+  for (const VertexId v : h.vertices()) {
+    const VertexId u = match[v];
     if (u != v) {
-      EXPECT_TRUE(
-          fixed_compatible(h.fixed_part(VertexId{v}), h.fixed_part(VertexId{u})));
+      EXPECT_TRUE(fixed_compatible(h.fixed_part(v), h.fixed_part(u)));
     }
   }
 }
@@ -205,8 +201,8 @@ TEST(ParallelIpm, SingleRankMatchesLikeSerialRounds) {
   comm.run([&](RankContext& ctx) {
     const auto match = parallel_ipm_matching(ctx, h, cfg, 0, 21);
     Index matched = 0;
-    for (Index v = 0; v < 40; ++v)
-      if (match[static_cast<std::size_t>(v)] != v) ++matched;
+    for (const VertexId v : h.vertices())
+      if (match[v] != v) ++matched;
     EXPECT_GT(matched, 10);
   });
 }

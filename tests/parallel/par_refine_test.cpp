@@ -104,9 +104,9 @@ TEST(ParRefine, AcceptsMoveUpToCeilOfFractionalAverage) {
   EXPECT_EQ(connectivity_cut(h, result), 0);
 }
 
-// Regression for the candidate-dedup rewrite of State::best_move: the
-// incrementally maintained cut must still equal a from-scratch recount on
-// dense nets, where the same destination part appears many times per scan.
+// The incrementally maintained cut must equal a from-scratch recount on
+// dense nets, where the same destination part is reached through many pins;
+// paranoid checks also cross-check the whole gain cache on every rank.
 TEST(ParRefine, FinalCutMatchesRecomputeOnDenseNets) {
   // Few large nets: every vertex sees every part through each net.
   Rng net_rng(31);
@@ -122,6 +122,8 @@ TEST(ParRefine, FinalCutMatchesRecomputeOnDenseNets) {
   PartitionConfig cfg;
   cfg.num_parts = 4;
   cfg.epsilon = 0.5;
+  // GainCache::validate runs on every rank inside the refiner.
+  cfg.check_level = check::CheckLevel::kParanoid;
   Comm comm(3);
   std::mutex m;
   std::vector<Partition> results;
@@ -141,10 +143,10 @@ TEST(ParRefine, FinalCutMatchesRecomputeOnDenseNets) {
   }
 }
 
-// The dedup means each best_move call evaluates gain() at most k-1 times,
-// so the summed counter is bounded by passes * n * (k-1). The old
-// once-per-pin behavior evaluates ~degree * net_size times per vertex
-// (~90 here vs k-1 = 3) and blows far past this bound.
+// Candidates are distinct parts, so each proposal evaluates move_gain at
+// most k-1 times and the summed counter is bounded by passes * n * (k-1).
+// Evaluating once per pin would take ~degree * net_size evaluations per
+// vertex (~90 here vs k-1 = 3) and blow far past this bound.
 TEST(ParRefine, GainEvalCountIsPerPartNotPerPin) {
   HypergraphBuilder b(30);
   for (int net = 0; net < 10; ++net) {
