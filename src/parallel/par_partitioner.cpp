@@ -142,7 +142,7 @@ ParallelPartitionResult parallel_partition_hypergraph(
       WallTimer phase_timer;
       const double wait_before = blocked_seconds();
       parallel_refine(ctx, *current, p, cfg.base,
-                      derive_seed(cfg.base.seed, 6000));
+                      derive_seed(cfg.base.seed, 6000), &ws);
       for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
         const Hypergraph& finer =
             (std::next(it) == levels.rend()) ? h : std::next(it)->coarse;
@@ -156,7 +156,8 @@ ParallelPartitionResult parallel_partition_hypergraph(
             ctx, finer, p, cfg.base,
             derive_seed(cfg.base.seed,
                         6001 + static_cast<std::uint64_t>(
-                                   std::distance(levels.rbegin(), it))));
+                                   std::distance(levels.rbegin(), it))),
+            &ws);
       }
       obs::record_rank_phase(span, ctx.rank(), "refine",
                              phase_timer.seconds(),

@@ -30,11 +30,25 @@ struct MoveProposal {
 
 ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
                                 Partition& p, const PartitionConfig& cfg,
-                                std::uint64_t seed) {
+                                std::uint64_t seed, Workspace* ws) {
   ParRefineResult result;
   if (p.k <= 1) return result;  // one part: nothing is cut
+  // Global quantities (identical on every rank) are counted by rank 0
+  // only; per-rank work (proposals scanned, gain evaluations) is summed
+  // over ranks.
+  const bool lead = ctx.rank() == 0;
 
-  GainCache cache(h, p);
+  // Memory guard (gain_cache.hpp): it reads only the replicated (h, k), so
+  // every rank skips here together and no collective is left unmatched.
+  static obs::CachedCounter skipped("refine.skipped_table_too_large");
+  if (gain_table_too_large(h, p.k, "parallel_refine",
+                           lead ? &skipped : nullptr)) {
+    result.initial_cut = connectivity_cut(h, p);
+    result.final_cut = result.initial_cut;
+    return result;
+  }
+
+  GainCache cache(h, p, ws);
   result.initial_cut = cache.cut();
   const Weight max_pw = max_part_weight(h.total_vertex_weight(), p.k,
                                         cfg.epsilon);
@@ -63,11 +77,6 @@ ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
 
   const auto [lo, hi] = block_range(h.num_vertices(), ctx.size(), ctx.rank());
   Rng rng(derive_seed(seed, 77 + static_cast<std::uint64_t>(ctx.rank())));
-
-  // Global quantities (identical on every rank) are counted by rank 0
-  // only; per-rank work (proposals scanned, gain evaluations) is summed
-  // over ranks.
-  const bool lead = ctx.rank() == 0;
 
   for (Index pass = 0; pass < cfg.max_refine_passes; ++pass) {
     ++result.passes;

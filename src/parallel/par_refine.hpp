@@ -10,6 +10,7 @@
 // vertices never move.
 #pragma once
 
+#include "common/workspace.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "metrics/partition.hpp"
 #include "parallel/comm.hpp"
@@ -24,8 +25,12 @@ struct ParRefineResult {
   Index passes = 0;
 };
 
+/// `ws` (optional) is the rank's arena: the replicated GainCache borrows
+/// its tables from it, so a multilevel run reuses them across levels.
+/// Refinement is skipped, counted and noted, on every rank alike, when the
+/// dense table would be too large (gain_table_too_large).
 ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
                                 Partition& p, const PartitionConfig& cfg,
-                                std::uint64_t seed);
+                                std::uint64_t seed, Workspace* ws = nullptr);
 
 }  // namespace hgr

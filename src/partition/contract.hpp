@@ -24,9 +24,10 @@ struct CoarseLevel {
   IdVector<VertexId, VertexId> fine_to_coarse;  // one entry per fine vertex
 };
 
-/// `ws` (optional) pools the per-net mapping scratch across levels and
-/// supplies the ThreadPool the pin-list construction runs on (serial when
-/// absent). The coarse hypergraph is bit-identical at every thread count.
+/// `ws` (optional) pools the per-net mapping scratch and the identical-net
+/// table across levels and supplies the ThreadPool the pin-list
+/// construction and the dedup walk run on (serial when absent). The coarse
+/// hypergraph is bit-identical at every thread count.
 CoarseLevel contract(const Hypergraph& h,
                      IdSpan<VertexId, const VertexId> match,
                      Workspace* ws = nullptr);

@@ -2,12 +2,28 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <vector>
 
 #include "metrics/cut.hpp"
 #include "obs/trace.hpp"
 
 namespace hgr {
+
+bool gain_table_too_large(const Hypergraph& h, Index k, const char* refiner,
+                          obs::CachedCounter* skipped) {
+  if (static_cast<std::size_t>(h.num_nets()) * static_cast<std::size_t>(k) <=
+      (std::size_t{1} << 28))
+    return false;
+  if (skipped != nullptr) {
+    *skipped += 1;
+    std::fprintf(stderr,
+                 "%s: pins-per-part table too large "
+                 "(num_nets=%lld x k=%d), returning unrefined partition\n",
+                 refiner, static_cast<long long>(h.num_nets()), k);
+  }
+  return true;
+}
 
 GainCache::GainCache(const Hypergraph& h, Index k,
                      IdSpan<VertexId, const PartId> parts, Workspace* ws)

@@ -39,6 +39,20 @@
 
 namespace hgr {
 
+namespace obs {
+class CachedCounter;
+}  // namespace obs
+
+/// The dense-table memory guard every GainCache refiner calls first: true
+/// when the num_nets x k pins-per-part table would exceed 2^28 entries
+/// (~1 GiB of Index), in which case the refiner returns its partition
+/// unrefined. The skip is never silent: with `skipped` non-null it is
+/// counted there and noted on stderr under `refiner`
+/// (docs/OBSERVABILITY.md). Rank-parallel callers pass the counter on one
+/// rank only; the test reads only (h, k), so every rank skips together.
+bool gain_table_too_large(const Hypergraph& h, Index k, const char* refiner,
+                          obs::CachedCounter* skipped);
+
 /// No-op listener for callers that do not track per-vertex gain deltas.
 struct NullMoveListener {
   void net_gained_part(NetId, PartId, Weight) {}

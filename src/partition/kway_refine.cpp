@@ -1,6 +1,5 @@
 #include "partition/kway_refine.hpp"
 
-#include <cstdio>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -39,18 +38,9 @@ KwayRefineResult kway_refine(const Hypergraph& h, Partition& p,
   const Index k = p.k;
   const Index n = h.num_vertices();
   if (k <= 1 || n == 0) return result;
-  // Memory guard: the dense table must stay sane (~1 GiB of Index). The
-  // skip is counted and noted — never silent (docs/OBSERVABILITY.md).
-  if (static_cast<std::size_t>(h.num_nets()) * static_cast<std::size_t>(k) >
-      (std::size_t{1} << 28)) {
-    static obs::CachedCounter skipped("kway.skipped_table_too_large");
-    skipped += 1;
-    std::fprintf(stderr,
-                 "kway_refine: pins-per-part table too large "
-                 "(num_nets=%lld x k=%d), returning unrefined partition\n",
-                 static_cast<long long>(h.num_nets()), k);
-    return result;
-  }
+  // Memory guard (gain_cache.hpp): counted and noted, never silent.
+  static obs::CachedCounter skipped("kway.skipped_table_too_large");
+  if (gain_table_too_large(h, k, "kway_refine", &skipped)) return result;
 
   GainCache cache(h, p, ws);
   const Weight max_part_weight =

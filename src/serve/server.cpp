@@ -212,6 +212,19 @@ Server::GraphState* Server::find_graph(const std::string& name) {
   return it == graphs_.end() ? nullptr : it->second.get();
 }
 
+std::size_t Server::fast_path_update_limit(const std::string& name) {
+  const GraphState* gs = find_graph(name);
+  if (gs == nullptr || cfg_.incremental != IncrementalMode::kAuto)
+    return SIZE_MAX;
+  // kAuto routes an epoch to the fast path while changed / n stays at or
+  // below incremental_max_delta_frac (EpochDelta::fraction). The update
+  // count bounds the changed set from above.
+  const double frac =
+      make_repart_config(*gs).partition.incremental_max_delta_frac;
+  return static_cast<std::size_t>(
+      frac * static_cast<double>(gs->h.num_vertices()));
+}
+
 void Server::worker_loop() {
   static obs::CachedCounter shed_counter("serve.shed");
   std::unique_lock<std::mutex> lock(mutex_);
@@ -239,10 +252,21 @@ void Server::worker_loop() {
     // Coalesce a run of DELTA requests against the same graph into one
     // epoch dispatch: their weight updates compose (last write per vertex
     // wins) and the union of changed vertices seeds a single O(delta)
-    // fast-path call instead of one full dispatch each.
+    // fast-path call instead of one full dispatch each. The run stops
+    // where folding in the next request would push a fast-path-sized
+    // batch past the fast path's size limit while that request alone
+    // stays within it: there, two fast-path dispatches cost far less than
+    // one full V-cycle, and a backlog cannot turn every dispatch into a
+    // V-cycle that grows the backlog further.
     if (batch.front().req.kind == RequestKind::kDelta) {
+      const std::size_t limit = fast_path_update_limit(graph);
+      std::size_t updates = batch.front().req.updates.size();
       while (!q.pending.empty() &&
              q.pending.front().req.kind == RequestKind::kDelta) {
+        const std::size_t next = q.pending.front().req.updates.size();
+        if (updates <= limit && next <= limit && updates + next > limit)
+          break;
+        updates += next;
         batch.push_back(std::move(q.pending.front()));
         q.pending.pop_front();
       }

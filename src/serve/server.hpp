@@ -12,7 +12,8 @@
 // baseline). Single-ownership keeps the partitioning pipeline free of new
 // locks — the Workspace BusyGuard would abort on any second toucher — and
 // makes batching natural: consecutive DELTA requests against the same
-// graph are coalesced into one epoch dispatch (serve.coalesced).
+// graph are coalesced into one epoch dispatch (serve.coalesced), up to
+// the size the fast path still accepts.
 //
 // The PR 5 degradation policy is the per-request SLO layer: every dispatch
 // runs under cfg.epoch_time_budget / max_retries / fallback, and the
@@ -129,6 +130,10 @@ class Server {
                      std::vector<PendingRequest> batch);
   void reply_to(const PendingRequest& pr, const std::string& text);
   GraphState* find_graph(const std::string& name);
+  /// Most DELTA updates one dispatch against `name` may carry and still
+  /// be routed to the fast path; SIZE_MAX when no limit applies (graph not
+  /// loaded yet, or incremental routing is not kAuto).
+  std::size_t fast_path_update_limit(const std::string& name);
   RepartitionerConfig make_repart_config(const GraphState& gs);
   static EpochDelta apply_delta_batch(
       GraphState& gs, const std::vector<PendingRequest>& batch);

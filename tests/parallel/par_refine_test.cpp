@@ -204,5 +204,44 @@ TEST(ParRefine, RespectsBalanceCap) {
             imbalance(h.vertex_weights(), start) + cfg.epsilon + 0.05);
 }
 
+TEST(ParRefine, OversizedTableSkipIsCounted) {
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  // 262145 nets x k=1024 = 2^28 + 1024 crosses the guard.
+  HypergraphBuilder b(2);
+  for (Index i = 0; i < 262145; ++i) b.add_net({0, 1}, 1);
+  const Hypergraph h = b.finalize();
+  PartitionConfig cfg;
+  cfg.num_parts = 1024;
+  Partition start(1024, 2);
+  start[VertexId{0}] = PartId{0};
+  start[VertexId{1}] = PartId{1};
+  const Weight before = connectivity_cut(h, start);
+
+  Comm comm(2);
+  std::mutex m;
+  std::vector<Partition> results;
+  std::vector<ParRefineResult> stats;
+  comm.run([&](RankContext& ctx) {
+    Workspace ws;
+    Partition p = start;
+    const ParRefineResult r = parallel_refine(ctx, h, p, cfg, 31, &ws);
+    std::lock_guard lock(m);
+    results.push_back(std::move(p));
+    stats.push_back(r);
+  });
+  // One skip, counted once; both ranks skipped (no pass ran anywhere).
+  EXPECT_EQ(reg.counter_value("refine.skipped_table_too_large"), 1u);
+  EXPECT_EQ(reg.counter_value("refine.passes"), 0u);
+  ASSERT_EQ(results.size(), 2u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].assignment, start.assignment);
+    EXPECT_EQ(stats[i].passes, 0);
+    EXPECT_EQ(stats[i].moves, 0);
+    EXPECT_EQ(stats[i].initial_cut, before);
+    EXPECT_EQ(stats[i].final_cut, before);
+  }
+}
+
 }  // namespace
 }  // namespace hgr

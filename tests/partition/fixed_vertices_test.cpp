@@ -38,7 +38,9 @@ TEST_P(FixedVertexSweep, EveryFixedVertexLandsInItsPart) {
   p.validate();
   for (const VertexId v : p.vertices()) {
     const PartId f = h.fixed_part(v);
-    if (f != kNoPart) EXPECT_EQ(p[v], f) << "vertex " << v;
+    if (f != kNoPart) {
+      EXPECT_EQ(p[v], f) << "vertex " << v;
+    }
   }
 }
 
@@ -68,7 +70,9 @@ TEST(FixedVertices, DirectKwayAlsoHonorsFixed) {
   const Partition p = direct_kway_partition(h, cfg);
   for (const VertexId v : p.vertices()) {
     const PartId f = h.fixed_part(v);
-    if (f != kNoPart) EXPECT_EQ(p[v], f);
+    if (f != kNoPart) {
+      EXPECT_EQ(p[v], f);
+    }
   }
 }
 

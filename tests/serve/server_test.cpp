@@ -149,6 +149,34 @@ TEST(ServeServer, ConsecutiveDeltasCoalesceIntoOneDispatch) {
   server.shutdown();
 }
 
+TEST(ServeServer, CoalescingStopsAtTheFastPathLimit) {
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  ReplyLog log;
+  ServeConfig cfg = serial_cfg();
+  cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
+      fault::FaultPlan::parse("delay@serve:ms=300"));
+  Server server(cfg, log_into(log));
+  // 1000 vertices: kAuto routes up to 2% of them (20) to the fast path.
+  const std::string path = ::testing::TempDir() + "/serve_coalesce_limit.hgr";
+  write_hmetis_file(graph_to_hypergraph(make_grid3d(10, 10, 10, false)),
+                    path);
+  server.submit("LOAD g " + path + " k=4");
+  wait_until_dequeued(server);  // LOAD is in flight, delayed
+  // 30 one-vertex DELTAs: one batch of all 30 would be a full V-cycle;
+  // the run splits after 20 so both dispatches stay on the fast path.
+  for (int v = 0; v < 30; ++v)
+    server.submit("DELTA g " + std::to_string(v) + ":2");
+  server.drain();
+  EXPECT_EQ(server.replied(), 31u);
+  EXPECT_EQ(log.count_containing("coalesced=19"), 20u);
+  EXPECT_EQ(log.count_containing("coalesced=9"), 10u);
+  EXPECT_EQ(log.count_containing("tier=incremental"), 30u);
+  EXPECT_EQ(reg.counter_value("serve.batches"), 3u);  // LOAD + 2 batches
+  EXPECT_EQ(reg.counter_value("serve.coalesced"), 28u);
+  server.shutdown();
+}
+
 TEST(ServeServer, FullQueueShedsWithBusyReply) {
   obs::Registry reg;
   obs::ScopedRegistry scope(reg);

@@ -64,6 +64,8 @@ TRACKED = [
     # plus the best 4-thread speedup across kernels).
     ("metrics.matching_seconds.t1.mean", True),
     ("metrics.contract_seconds.t1.mean", True),
+    # Contraction at 4 threads: the hash-sharded identical-net walk.
+    ("metrics.contract_seconds.t4.mean", True),
     ("metrics.kway_seconds.t1.mean", True),
     ("metrics.parallel_speedup_t4", False),
     # serve_throughput (hgr_serve core: coalescing burst + warm residency).
