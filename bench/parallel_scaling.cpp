@@ -135,9 +135,8 @@ ThreadStudy run_thread_study(const Hypergraph& h, const Options& opt) {
 
       // K-way refinement (of the shared starting partition).
       Partition p = start;
-      Rng refine_rng(derive_seed(opt.seed, 11));
       timer.reset();
-      kway_refine(h, p, cfg, refine_rng, 4, &ws);
+      kway_refine(h, p, cfg, 4, &ws);
       study.kway.seconds[ti].push_back(timer.seconds());
 
       if (ti == 0 && trial == 0) {

@@ -6,7 +6,6 @@
 #include "common/rng.hpp"
 #include "metrics/balance.hpp"
 #include "metrics/cut.hpp"
-#include "partition/kway_refine.hpp"
 #include "partition/partitioner.hpp"
 
 namespace hgr {
@@ -29,9 +28,7 @@ struct Quality {
 Weight total_overweight(const Hypergraph& h, const Partition& p,
                         double epsilon) {
   const IdVector<PartId, Weight> pw = part_weights(h.vertex_weights(), p);
-  const double avg = static_cast<double>(h.total_vertex_weight()) /
-                     static_cast<double>(p.k);
-  const auto max_w = static_cast<Weight>(avg * (1.0 + epsilon));
+  const Weight max_w = max_part_weight(h.total_vertex_weight(), p.k, epsilon);
   Weight over = 0;
   for (const Weight w : pw) over += std::max<Weight>(0, w - max_w);
   return over;

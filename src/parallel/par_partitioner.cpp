@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "check/validate.hpp"
@@ -18,10 +19,29 @@
 #include "parallel/par_coarsen.hpp"
 #include "parallel/par_initial.hpp"
 #include "parallel/par_ipm.hpp"
-#include "parallel/par_refine.hpp"
 #include "partition/partitioner.hpp"  // record_coarsen_level
 
 namespace hgr {
+
+RankSplit rank_split(RankContext& ctx, Index num_vertices) {
+  RankSplit split;
+  std::tie(split.begin, split.end) =
+      block_range(num_vertices, ctx.size(), ctx.rank());
+  split.gather = [&ctx](std::vector<MoveProposal>& proposals) {
+    const FlatBuffer<MoveProposal> all = ctx.allgatherv<MoveProposal>(
+        {proposals.data(), proposals.size()});
+    proposals.assign(all.all().begin(), all.all().end());
+  };
+  split.check_lockstep = [&ctx](Index applied) {
+    // Every rank applied the identical global move list, so the sum over
+    // ranks is `applied` times the rank count.
+    const auto applied_anywhere = ctx.allreduce_sum<std::int64_t>(applied);
+    HGR_ASSERT(applied_anywhere ==
+               static_cast<std::int64_t>(applied) * ctx.size());
+  };
+  split.lead = ctx.rank() == 0;
+  return split;
+}
 
 ParallelPartitionResult parallel_partition_hypergraph(
     const Hypergraph& h, const ParallelPartitionConfig& cfg) {
@@ -136,13 +156,20 @@ ParallelPartitionResult parallel_partition_hypergraph(
                              blocked_seconds() - wait_before);
     }
 
-    // Uncoarsening with synchronized localized refinement.
+    // Uncoarsening with synchronized localized refinement (paper §4.3):
+    // the one k-way engine, each rank proposing for its own vertex block
+    // (split further over its pool) and every rank applying the gathered
+    // list, so all ranks end each pass with identical partitions.
     {
       obs::TraceScope refine_scope("refine");
       WallTimer phase_timer;
       const double wait_before = blocked_seconds();
-      parallel_refine(ctx, *current, p, cfg.base,
-                      derive_seed(cfg.base.seed, 6000), &ws);
+      const auto refine = [&](const Hypergraph& level_h) {
+        const RankSplit split = rank_split(ctx, level_h.num_vertices());
+        kway_refine(level_h, p, cfg.base, cfg.base.max_refine_passes, &ws,
+                    &split);
+      };
+      refine(*current);
       for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
         const Hypergraph& finer =
             (std::next(it) == levels.rend()) ? h : std::next(it)->coarse;
@@ -152,12 +179,7 @@ ParallelPartitionResult parallel_partition_hypergraph(
         for (const VertexId v : finer.vertices())
           fine_p[v] = p[it->fine_to_coarse[v]];
         p = std::move(fine_p);
-        parallel_refine(
-            ctx, finer, p, cfg.base,
-            derive_seed(cfg.base.seed,
-                        6001 + static_cast<std::uint64_t>(
-                                   std::distance(levels.rbegin(), it))),
-            &ws);
+        refine(finer);
       }
       obs::record_rank_phase(span, ctx.rank(), "refine",
                              phase_timer.seconds(),

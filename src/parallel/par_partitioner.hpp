@@ -1,8 +1,9 @@
 // The parallel multilevel hypergraph partitioner with fixed vertices
 // (paper Section 4): coarsening by round-based candidate-broadcast IPM,
 // replicated randomized coarse partitioning with a global best pick, and
-// synchronized localized refinement pass-pairs — executed by p ranks over
-// the in-process message-passing runtime.
+// synchronized localized refinement — the serial k-way engine
+// (kway_refine), each rank proposing for its own vertex block — executed
+// by p ranks over the in-process message-passing runtime.
 //
 // Also provides the parallel form of the paper's headline operation:
 // repartitioning via the augmented model, solved in parallel.
@@ -13,6 +14,7 @@
 #include "metrics/partition.hpp"
 #include "parallel/comm.hpp"
 #include "partition/config.hpp"
+#include "partition/kway_refine.hpp"
 
 namespace hgr {
 
@@ -35,6 +37,11 @@ struct ParallelPartitionResult {
   double seconds = 0.0;
   Index levels = 0;     // coarsening depth reached
 };
+
+/// This rank's share of a replicated kway_refine over a level of
+/// `num_vertices` vertices: its block_range, the proposal allgatherv, and
+/// the per-pass lockstep check. Every rank of ctx must refine together.
+RankSplit rank_split(RankContext& ctx, Index num_vertices);
 
 /// Partition h into base.num_parts parts using num_ranks ranks. Honors
 /// h.fixed_part(). Every rank computes the identical result; the returned

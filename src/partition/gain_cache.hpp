@@ -1,6 +1,6 @@
 // GainCache: the incremental cut/gain structure behind every move-based
-// stage (k-way refinement, FM bisection, rank-parallel refinement, and the
-// O(delta) epoch fast path).
+// stage (k-way refinement at every thread and rank count, FM bisection,
+// and the O(delta) epoch fast path).
 //
 // It maintains, under a stream of apply_move(v, to) calls:
 //   - pins(net, part): the dense pins-per-part table,
@@ -13,8 +13,10 @@
 //     move_gain(v, q) = leave_gain(v) - sum_{nets j of v: pins(j,q)==0} c_j
 //     costs O(deg(v)) instead of O(sum |net|).
 //
-// best_move() is the one k-way move rule, shared by kway_refine and the
-// epoch fast path.
+// best_move() is the epoch fast path's move rule (it may take zero-gain
+// balance-improving moves and shed an overweight part at negative gain);
+// kway_refine proposes only strictly positive-gain moves through
+// candidate_parts_into and move_gain.
 //
 // Refiners that keep their own per-vertex gain tables (FM's priority
 // queues) subscribe to the four classic delta-gain events via the listener
@@ -132,13 +134,14 @@ class GainCache {
   void candidate_parts_into(std::vector<PartId>& out, VertexId v,
                             std::vector<std::uint64_t>& scratch) const;
 
-  /// The k-way move rule: the best destination for v among the parts its
-  /// nets touch, with its gain, or {kNoPart, 0}. A move is feasible when
-  /// the destination stays within max_part_weight, and acceptable when its
-  /// gain is positive or zero with strictly better balance; among those,
-  /// highest gain wins, then lightest destination, then lowest part id.
-  /// shed_overweight_source waives acceptability (not feasibility), so an
-  /// overweight source part may shed v even at negative gain.
+  /// The epoch fast path's move rule: the best destination for v among
+  /// the parts its nets touch, with its gain, or {kNoPart, 0}. A move is
+  /// feasible when the destination stays within max_part_weight, and
+  /// acceptable when its gain is positive or zero with strictly better
+  /// balance; among those, highest gain wins, then lightest destination,
+  /// then lowest part id. shed_overweight_source waives acceptability (not
+  /// feasibility), so an overweight source part may shed v even at
+  /// negative gain.
   std::pair<PartId, Weight> best_move(VertexId v, Weight max_part_weight,
                                       bool shed_overweight_source,
                                       MoveScratch& scratch) const;

@@ -1,5 +1,7 @@
 #include "partition/kway_refine.hpp"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -11,113 +13,142 @@
 
 namespace hgr {
 
-// Each pass runs in two phases (propose, then apply) at every thread
-// count, so threads=1 and threads=8 walk byte-identical state:
+// Each pass runs four steps, so every thread and rank count walks
+// byte-identical state:
 //
-//   Propose (parallel over vertices): against the frozen pass-start cache
-//   — the const GainCache::best_move plus per-thread MoveScratch — mark
-//   every vertex that has an acceptable move. Read-only on shared
-//   state, one flag write per vertex into the chunk the thread owns.
+//   Propose (parallel over the caller's vertex block): against the frozen
+//   pass-start cache, each movable vertex proposes its best strictly
+//   positive-gain destination within the balance bound. Candidates ascend
+//   and only a strictly better gain replaces the incumbent, so ties go to
+//   the lowest part id. Read-only on shared state; each thread writes
+//   only its own chunk's slots.
 //
-//   Apply (serial, permutation order): re-evaluate each marked vertex
-//   against the *live* cache with the same rule (GainCache::best_move), and
-//   apply the move if it is still acceptable. The permutation is drawn
-//   serially from `rng` per pass, so the stream is consumed identically
-//   at every thread count.
+//   Gather: nothing serially; at ranks, one allgatherv of every rank's
+//   list (RankSplit::gather).
 //
-// The proposal phase is a filter, not a commitment: moves that sour once
-// earlier moves land are re-checked and dropped, and vertices that only
-// become attractive mid-pass are picked up by the next pass (the pass
-// loop already iterates until a sweep applies nothing).
+//   Sort by (gain descending, vertex ascending). Every vertex proposes at
+//   most once, so this is a total order and the input order — thread
+//   chunks, rank blocks — cannot leak into the result.
+//
+//   Apply (serial, sorted order): re-check each move's gain and the
+//   balance bound against the *live* cache and apply it if both still
+//   hold. Moves that sour once earlier moves land are dropped; vertices
+//   that only become attractive mid-pass are picked up by the next pass.
 KwayRefineResult kway_refine(const Hypergraph& h, Partition& p,
-                             const PartitionConfig& cfg, Rng& rng,
-                             Index max_passes, Workspace* ws) {
+                             const PartitionConfig& cfg, Index max_passes,
+                             Workspace* ws, const RankSplit* ranks) {
   KwayRefineResult result;
-  result.initial_cut = connectivity_cut(h, p);
-  result.final_cut = result.initial_cut;
   const Index k = p.k;
   const Index n = h.num_vertices();
-  if (k <= 1 || n == 0) return result;
-  // Memory guard (gain_cache.hpp): counted and noted, never silent.
+  // Replicated quantities are counted once: by the lead rank.
+  const bool lead = ranks == nullptr || ranks->lead;
+  // Memory guard (gain_cache.hpp): counted and noted, never silent. It
+  // reads only the replicated (h, k), so every rank skips together and no
+  // collective is left unmatched.
   static obs::CachedCounter skipped("kway.skipped_table_too_large");
-  if (gain_table_too_large(h, k, "kway_refine", &skipped)) return result;
+  if (k <= 1 || n == 0 ||
+      gain_table_too_large(h, k, "kway_refine", lead ? &skipped : nullptr)) {
+    result.initial_cut = connectivity_cut(h, p);
+    result.final_cut = result.initial_cut;
+    return result;
+  }
 
   GainCache cache(h, p, ws);
-  const Weight max_part_weight =
-      hgr::max_part_weight(h.total_vertex_weight(), k, cfg.epsilon);
+  result.initial_cut = cache.cut();
+  const Weight max_pw =
+      max_part_weight(h.total_vertex_weight(), k, cfg.epsilon);
+  const Index lo = ranks != nullptr ? ranks->begin : 0;
+  const Index hi = ranks != nullptr ? ranks->end : n;
 
   ThreadPool* pool = ws != nullptr ? ws->pool() : nullptr;
   const int num_threads = pool_threads(pool);
   if (ws != nullptr) ws->reserve_threads(num_threads);
-
-  Borrowed<std::uint8_t> proposed_b(ws);
-  std::vector<std::uint8_t>& proposed = proposed_b.get();
-  std::vector<std::uint64_t> proposals_of(
-      static_cast<std::size_t>(num_threads), 0);
+  Borrowed<MoveProposal> proposals_b(ws);
+  std::vector<MoveProposal>& proposals = proposals_b.get();
+  // Thread t writes its proposals to the front of its own chunk's slots,
+  // [kept[t].first, kept[t].second); the chunks are compacted afterwards.
+  std::vector<std::pair<Index, Index>> kept(
+      static_cast<std::size_t>(num_threads));
   std::uint64_t total_proposals = 0;
 
-  // Caller-side scratch for the serial apply phase.
-  MoveScratch scratch(ws);
-
-  Borrowed<Index> order_b(ws);
-  std::vector<Index>& order = order_b.get();
-  // Accepted-move gain distribution (k-way moves are never negative gain,
-  // so this histogram's p50 vs max shows how front-loaded the pass is).
-  // Batched locally, folded into the registry once per pass.
+  // Accepted-move gain distribution (every accepted move has positive
+  // gain, so this histogram's p50 vs max shows how front-loaded the pass
+  // is). Batched locally, folded into the registry once per pass.
   static obs::CachedHistogram gain_hist("kway.move_gain");
   obs::HistogramSnapshot gain_batch;
 
   for (Index pass = 0; pass < max_passes; ++pass) {
     ++result.passes;
-    random_permutation_into(order, n, rng);
-    proposed.assign(static_cast<std::size_t>(n), 0);
-    for (int t = 0; t < num_threads; ++t)
-      proposals_of[static_cast<std::size_t>(t)] = 0;
 
     // Propose: read-only against the pass-start cache.
-    parallel_chunks(pool, n, [&](int t, Index begin, Index end) {
-      MoveScratch t_scratch(ws != nullptr ? &ws->for_thread(t) : nullptr);
-      std::uint64_t found = 0;
-      for (Index vi = begin; vi < end; ++vi) {
+    proposals.resize(static_cast<std::size_t>(hi - lo));
+    std::fill(kept.begin(), kept.end(), std::pair<Index, Index>{0, 0});
+    parallel_chunks(pool, hi - lo, [&](int t, Index begin, Index end) {
+      Workspace* t_ws = ws != nullptr ? &ws->for_thread(t) : nullptr;
+      Borrowed<PartId> candidates(t_ws);
+      Borrowed<std::uint64_t> words(t_ws);
+      Index out = begin;
+      for (Index vi = lo + begin; vi < lo + end; ++vi) {
         const VertexId v{vi};
         if (h.fixed_part(v) != kNoPart) continue;
-        if (cache.best_move(v, max_part_weight,
-                            /*shed_overweight_source=*/false, t_scratch)
-                .first == kNoPart)
-          continue;
-        proposed[static_cast<std::size_t>(vi)] = 1;
-        ++found;
+        cache.candidate_parts_into(*candidates, v, *words);
+        PartId best = kNoPart;
+        Weight best_gain = 0;
+        for (const PartId q : *candidates) {
+          if (cache.part_weight(q) + h.vertex_weight(v) > max_pw) continue;
+          const Weight g = cache.move_gain(v, q);
+          if (g > best_gain) {
+            best = q;
+            best_gain = g;
+          }
+        }
+        if (best != kNoPart)
+          proposals[static_cast<std::size_t>(out++)] = {vi, best, best_gain};
       }
-      proposals_of[static_cast<std::size_t>(t)] = found;
+      kept[static_cast<std::size_t>(t)] = {begin, out};
     });
-    for (int t = 0; t < num_threads; ++t)
-      total_proposals += proposals_of[static_cast<std::size_t>(t)];
+    std::size_t found = 0;
+    for (const auto& [begin, end] : kept)
+      for (Index i = begin; i < end; ++i)
+        proposals[found++] = proposals[static_cast<std::size_t>(i)];
+    proposals.resize(found);
+    total_proposals += found;
 
-    // Apply: serial, permutation order, against the live cache.
-    Index moves_this_pass = 0;
-    for (const Index vi : order) {
-      if (proposed[static_cast<std::size_t>(vi)] == 0) continue;
-      const VertexId v{vi};
-      const auto [best, best_gain] = cache.best_move(
-          v, max_part_weight, /*shed_overweight_source=*/false, scratch);
-      if (best == kNoPart) continue;  // soured since the proposal snapshot
-      gain_batch.record(best_gain);
-      cache.apply_move(v, best);
-      p[v] = best;
-      ++moves_this_pass;
+    if (ranks != nullptr) ranks->gather(proposals);
+    std::sort(proposals.begin(), proposals.end(),
+              [](const MoveProposal& a, const MoveProposal& b) {
+                if (a.gain != b.gain) return a.gain > b.gain;
+                return a.vertex < b.vertex;
+              });
+
+    // Apply: serial, sorted order, against the live cache.
+    Index applied = 0;
+    for (const MoveProposal& m : proposals) {
+      // hgr-lint: raw-ok (MoveProposal is the rank gather's wire struct)
+      const VertexId v = from_raw<VertexId>(m.vertex);
+      const Weight gain = cache.move_gain(v, m.to);
+      if (gain <= 0) continue;  // soured since the proposal snapshot
+      if (cache.part_weight(m.to) + h.vertex_weight(v) > max_pw) continue;
+      if (lead) gain_batch.record(gain);
+      cache.apply_move(v, m.to);
+      p[v] = m.to;
+      ++applied;
     }
     if (gain_batch.count > 0) {
       gain_hist.get().merge(gain_batch);
       gain_batch = obs::HistogramSnapshot{};
     }
-    result.moves += moves_this_pass;
-    if (moves_this_pass == 0) break;
+    result.moves += applied;
+    if (ranks != nullptr) ranks->check_lockstep(applied);
+    if (applied == 0) break;
   }
   static obs::CachedCounter passes_counter("kway.passes");
   static obs::CachedCounter moves_counter("kway.moves");
   static obs::CachedCounter proposals_counter("kway.proposals");
-  passes_counter += static_cast<std::uint64_t>(result.passes);
-  moves_counter += static_cast<std::uint64_t>(result.moves);
+  if (lead) {
+    passes_counter += static_cast<std::uint64_t>(result.passes);
+    moves_counter += static_cast<std::uint64_t>(result.moves);
+  }
   proposals_counter += total_proposals;
   result.final_cut = cache.cut();
   cache.validate(cfg.check_level);

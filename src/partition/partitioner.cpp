@@ -7,6 +7,7 @@
 #include "check/validate.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
+#include "metrics/balance.hpp"
 #include "obs/trace.hpp"
 #include "partition/kway_refine.hpp"
 #include "partition/matching_ipm.hpp"
@@ -24,9 +25,7 @@ Partition greedy_kway_initial(const Hypergraph& h, const PartitionConfig& cfg,
   const Index k = cfg.num_parts;
   Partition p(k, h.num_vertices(), kNoPart);
   IdVector<PartId, Weight> part_w(k, 0);
-  const double avg =
-      static_cast<double>(h.total_vertex_weight()) / static_cast<double>(k);
-  const auto max_w = static_cast<Weight>(avg * (1.0 + cfg.epsilon));
+  const Weight max_w = max_part_weight(h.total_vertex_weight(), k, cfg.epsilon);
 
   for (const VertexId v : h.vertices()) {
     const PartId f = h.fixed_part(v);
@@ -127,7 +126,7 @@ Partition direct_kway_partition(const Hypergraph& h,
   {
     obs::TraceScope initial_scope("initial");
     p = greedy_kway_initial(coarsest, cfg, rng);
-    kway_refine(coarsest, p, cfg, rng, cfg.max_refine_passes, ws);
+    kway_refine(coarsest, p, cfg, cfg.max_refine_passes, ws);
   }
 
   {
@@ -140,7 +139,7 @@ Partition direct_kway_partition(const Hypergraph& h,
       for (const VertexId v : finer.vertices())
         fine_p[v] = p[it->fine_to_coarse[v]];
       p = std::move(fine_p);
-      kway_refine(finer, p, cfg, rng, cfg.max_refine_passes, ws);
+      kway_refine(finer, p, cfg, cfg.max_refine_passes, ws);
     }
   }
   p.validate();

@@ -223,8 +223,7 @@ TEST(IncrementalRepart, OverweightSourceShedsAtNegativeGain) {
   // The k-way refiner's rule takes no negative-gain move, so it leaves the
   // overweight part as it is.
   Partition kp = p;
-  Rng rng(1);
-  const KwayRefineResult r = kway_refine(h, kp, cfg.partition, rng, 4);
+  const KwayRefineResult r = kway_refine(h, kp, cfg.partition, 4);
   EXPECT_EQ(r.moves, 0);
   EXPECT_EQ(r.final_cut, baseline);
   EXPECT_EQ(kp.assignment, p.assignment);

@@ -7,6 +7,7 @@
 #include "metrics/balance.hpp"
 #include "metrics/cut.hpp"
 #include "metrics/migration.hpp"
+#include "parallel/par_initial.hpp"
 #include "partition/partitioner.hpp"
 #include "test_util.hpp"
 #include "workload/generators.hpp"
@@ -90,6 +91,33 @@ TEST(ParPartitioner, ParallelRepartitionDecodesAndMigratesLittle) {
   // vertices to their old parts.
   EXPECT_LT(migration_volume(h.vertex_sizes(), old_p, r.partition),
             h.num_vertices() / 4);
+}
+
+// Regression: the rank path's greedy assignment and its best-of-ranks
+// pick both truncated avg * (1 + eps) to 3 at total weight 10, k = 3,
+// eps = 0.05, so every rank split the 4-clique and even the best possible
+// 4/3/3 split counted as overweight. With the ceil-aware bound (4) every
+// rank keeps the cliques whole, and the pick sees no overweight.
+TEST(ParPartitioner, CoarsePartitionFillsPartsUpToCeilOfFractionalAverage) {
+  HypergraphBuilder b(10);
+  b.add_net({0, 1, 2, 3}, 10);
+  b.add_net({4, 5, 6}, 10);
+  b.add_net({7, 8, 9}, 10);
+  const Hypergraph h = b.finalize();
+  PartitionConfig cfg;
+  cfg.num_parts = 3;
+  cfg.epsilon = 0.05;
+  cfg.max_refine_passes = 0;
+  Comm comm(2);
+  std::vector<Partition> results(2);
+  comm.run([&](RankContext& ctx) {
+    results[static_cast<std::size_t>(ctx.rank())] =
+        parallel_coarse_partition(ctx, h, cfg, 42);
+  });
+  EXPECT_EQ(results[1].assignment, results[0].assignment);
+  EXPECT_EQ(connectivity_cut(h, results[0]), 0);
+  for (const Weight w : part_weights(h.vertex_weights(), results[0]))
+    EXPECT_LE(w, 4);
 }
 
 TEST(ParPartitioner, SinglePartShortCircuit) {

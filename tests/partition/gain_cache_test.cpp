@@ -233,5 +233,44 @@ TEST(GainCache, PartitionConstructorMatchesSpanConstructor) {
     EXPECT_EQ(from_partition.part_weight(q), from_span.part_weight(q));
 }
 
+// Regression: best_move used to lock in the first acceptable candidate on
+// ties — the `gain_to[q] == 0 &&` guard meant a zero-gain
+// balance-improving move could never be displaced by a later, equally
+// good move into a lighter part. Two zero-gain candidates of different
+// weights must resolve to the lighter destination, regardless of the
+// order the vertex's nets present them in.
+TEST(GainCache, BestMoveZeroGainTieBreakPicksLighterDestination) {
+  HypergraphBuilder b(4);
+  // v0 is the only movable vertex; its nets present candidate parts in
+  // the order p1 (weight 5) before p2 (weight 3).
+  b.add_net({0, 3}, 1);
+  b.add_net({0, 1}, 1);
+  b.add_net({0, 2}, 1);
+  b.set_vertex_weight(0, 1);
+  b.set_vertex_weight(1, 5);
+  b.set_vertex_weight(2, 3);
+  b.set_vertex_weight(3, 6);
+  b.set_fixed_part(1, PartId{1});
+  b.set_fixed_part(2, PartId{2});
+  b.set_fixed_part(3, PartId{0});
+  const Hypergraph h = b.finalize();
+  Partition p(3, 4);
+  p[VertexId{0}] = PartId{0};
+  p[VertexId{1}] = PartId{1};
+  p[VertexId{2}] = PartId{2};
+  p[VertexId{3}] = PartId{0};
+  const GainCache cache(h, p);
+  MoveScratch scratch(nullptr);
+  // Moving v0 to p1 or p2 both have gain exactly 0 (one net uncut, one
+  // newly cut) and both improve balance off the weight-7 part 0; max part
+  // weight 6 keeps both feasible.
+  const auto [best, gain] = cache.best_move(
+      VertexId{0}, /*max_part_weight=*/6, /*shed_overweight_source=*/false,
+      scratch);
+  EXPECT_EQ(best, PartId{2});  // the lighter of the two equal-gain parts
+  EXPECT_EQ(gain, 0);
+  EXPECT_EQ(cache.move_gain(VertexId{0}, PartId{1}), 0);
+}
+
 }  // namespace
 }  // namespace hgr

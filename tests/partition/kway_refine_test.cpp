@@ -21,8 +21,7 @@ TEST(KwayRefine, NeverWorsensCut) {
     const Hypergraph h = random_hypergraph(60, 120, 5, 3, seed);
     Partition p = random_partition(60, 4, seed + 7);
     const Weight before = connectivity_cut(h, p);
-    Rng rng(seed);
-    const KwayRefineResult r = kway_refine(h, p, cfg, rng, 3);
+    const KwayRefineResult r = kway_refine(h, p, cfg, 3);
     EXPECT_EQ(r.initial_cut, before);
     EXPECT_LE(r.final_cut, before);
     EXPECT_EQ(r.final_cut, connectivity_cut(h, p));
@@ -41,8 +40,7 @@ TEST(KwayRefine, FixedVerticesNeverMove) {
   Partition p(3, 6);
   p[VertexId{0}] = PartId{2};
   p[VertexId{1}] = PartId{0}; p[VertexId{2}] = PartId{0}; p[VertexId{3}] = PartId{1}; p[VertexId{4}] = PartId{1}; p[VertexId{5}] = PartId{1};
-  Rng rng(1);
-  kway_refine(h, p, cfg, rng, 4);
+  kway_refine(h, p, cfg, 4);
   EXPECT_EQ(p[VertexId{0}], PartId{2});
 }
 
@@ -55,8 +53,7 @@ TEST(KwayRefine, DoesNotViolateBalance) {
   Partition p(3, 60);
   for (Index v = 0; v < 60; ++v) p[VertexId{v}] = PartId{v % 3};
   const double before = imbalance(h.vertex_weights(), p);
-  Rng rng(2);
-  kway_refine(h, p, cfg, rng, 4);
+  kway_refine(h, p, cfg, 4);
   // Moves were only allowed into parts that stayed under the cap.
   EXPECT_LE(imbalance(h.vertex_weights(), p),
             std::max(before, cfg.epsilon) + 1e-9);
@@ -67,8 +64,7 @@ TEST(KwayRefine, SinglePartNoop) {
   PartitionConfig cfg;
   cfg.num_parts = 1;
   Partition p(1, 20, PartId{0});
-  Rng rng(3);
-  const KwayRefineResult r = kway_refine(h, p, cfg, rng, 2);
+  const KwayRefineResult r = kway_refine(h, p, cfg, 2);
   EXPECT_EQ(r.moves, 0);
 }
 
@@ -85,8 +81,7 @@ TEST(KwayRefine, ImprovesAPlantedBadAssignment) {
   // Two stray vertices on the wrong side: single moves fix each.
   p[VertexId{0}] = PartId{0}; p[VertexId{1}] = PartId{0}; p[VertexId{2}] = PartId{0}; p[VertexId{3}] = PartId{1};
   p[VertexId{4}] = PartId{0}; p[VertexId{5}] = PartId{1}; p[VertexId{6}] = PartId{1}; p[VertexId{7}] = PartId{1};
-  Rng rng(4);
-  const KwayRefineResult r = kway_refine(h, p, cfg, rng, 6);
+  const KwayRefineResult r = kway_refine(h, p, cfg, 6);
   EXPECT_LT(r.final_cut, r.initial_cut);
 }
 
@@ -108,10 +103,9 @@ TEST(KwayRefine, AcceptsMoveUpToCeilOfFractionalAverage) {
   p[VertexId{0}] = PartId{0};
   p[VertexId{1}] = PartId{0};
   p[VertexId{2}] = PartId{1};
-  Rng rng(6);
   // Moving v0 (weight 3) to part 1 (weight 1) reaches 4 = ceil(3.5): legal
   // under Eq. 1, rejected by the truncated bound.
-  const KwayRefineResult r = kway_refine(h, p, cfg, rng, 4);
+  const KwayRefineResult r = kway_refine(h, p, cfg, 4);
   EXPECT_GE(r.moves, 1);
   EXPECT_EQ(r.final_cut, 0);
   EXPECT_EQ(connectivity_cut(h, p), 0);
@@ -119,16 +113,11 @@ TEST(KwayRefine, AcceptsMoveUpToCeilOfFractionalAverage) {
   EXPECT_EQ(p[VertexId{2}], PartId{1});
 }
 
-// Regression: the refiner used to lock in the first acceptable candidate
-// on ties — the `gain_to[q] == 0 &&` guard meant a zero-gain
-// balance-improving move could never be displaced by a later, equally
-// good move into a lighter part. Two zero-gain candidates of different
-// weights must resolve to the lighter destination, regardless of the
-// order the vertex's nets present them in.
-TEST(KwayRefine, ZeroGainTieBreakPicksLighterDestination) {
+// The engine proposes only strictly positive-gain moves: two zero-gain,
+// balance-improving destinations leave v0 where it is (the epoch fast
+// path's GainCache::best_move would take the lighter one).
+TEST(KwayRefine, TakesNoZeroGainMove) {
   HypergraphBuilder b(4);
-  // v0 is the only movable vertex; its nets present candidate parts in
-  // the order p1 (weight 5) before p2 (weight 3).
   b.add_net({0, 3}, 1);
   b.add_net({0, 1}, 1);
   b.add_net({0, 2}, 1);
@@ -142,15 +131,13 @@ TEST(KwayRefine, ZeroGainTieBreakPicksLighterDestination) {
   const Hypergraph h = b.finalize();
   PartitionConfig cfg;
   cfg.num_parts = 3;
-  cfg.epsilon = 0.3;  // max part weight 6: both destinations feasible
+  cfg.epsilon = 0.3;
   Partition p(3, 4);
   p[VertexId{0}] = PartId{0}; p[VertexId{1}] = PartId{1}; p[VertexId{2}] = PartId{2}; p[VertexId{3}] = PartId{0};
-  // Moving v0 to p1 or p2 both have gain exactly 0 (one net uncut, one
-  // newly cut) and both improve balance off the weight-7 part 0.
-  Rng rng(8);
-  const KwayRefineResult r = kway_refine(h, p, cfg, rng, 4);
-  EXPECT_EQ(r.final_cut, r.initial_cut);
-  EXPECT_EQ(p[VertexId{0}], PartId{2});  // the lighter of the two equal-gain destinations
+  const KwayRefineResult r = kway_refine(h, p, cfg, 4);
+  EXPECT_EQ(r.moves, 0);
+  EXPECT_EQ(r.passes, 1);
+  EXPECT_EQ(p[VertexId{0}], PartId{0});
 }
 
 // The dense pins-per-part table is guarded at num_nets * k > 2^28; the
@@ -168,8 +155,7 @@ TEST(KwayRefine, OversizedTableSkipIsCounted) {
   p[VertexId{0}] = PartId{0};
   p[VertexId{1}] = PartId{1};
   const Weight before = connectivity_cut(h, p);
-  Rng rng(9);
-  const KwayRefineResult r = kway_refine(h, p, cfg, rng, 2);
+  const KwayRefineResult r = kway_refine(h, p, cfg, 2);
   EXPECT_EQ(reg.counter_value("kway.skipped_table_too_large"), 1u);
   EXPECT_EQ(r.moves, 0);
   EXPECT_EQ(r.final_cut, before);
@@ -185,8 +171,7 @@ TEST(KwayRefine, StopsWhenNoMoveApplies) {
   Partition p(2, 4);
   p[VertexId{0}] = p[VertexId{1}] = PartId{0};
   p[VertexId{2}] = p[VertexId{3}] = PartId{1};
-  Rng rng(5);
-  const KwayRefineResult r = kway_refine(h, p, cfg, rng, 5);
+  const KwayRefineResult r = kway_refine(h, p, cfg, 5);
   EXPECT_EQ(r.moves, 0);
   EXPECT_EQ(r.passes, 1);
   EXPECT_EQ(r.final_cut, 0);

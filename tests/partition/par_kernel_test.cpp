@@ -102,15 +102,14 @@ TEST(ParKernel, KwayRefineIsThreadCountInvariant) {
 
   const auto refine_with = [&](int threads) {
     Partition p = random_partition(300, 4, 99);
-    Rng rng(23);
     if (threads == 0) {
-      const KwayRefineResult r = kway_refine(h, p, cfg, rng, 6, nullptr);
+      const KwayRefineResult r = kway_refine(h, p, cfg, 6, nullptr);
       return std::pair{p, r};
     }
     ThreadPool pool(threads);
     Workspace ws;
     ws.set_pool(&pool);
-    const KwayRefineResult r = kway_refine(h, p, cfg, rng, 6, &ws);
+    const KwayRefineResult r = kway_refine(h, p, cfg, 6, &ws);
     return std::pair{p, r};
   };
 
@@ -144,8 +143,7 @@ TEST(ParKernel, KwayRefineRespectsFixedVerticesUnderThreads) {
   ThreadPool pool(4);
   Workspace ws;
   ws.set_pool(&pool);
-  Rng rng(31);
-  kway_refine(h, p, cfg, rng, 4, &ws);
+  kway_refine(h, p, cfg, 4, &ws);
   for (const VertexId v : h.vertices()) {
     if (h.fixed_part(v) != kNoPart) {
       EXPECT_EQ(p[v], h.fixed_part(v));

@@ -96,6 +96,35 @@ TEST(Partitioner, DirectKwayAlsoValid) {
   EXPECT_LE(imbalance(h.vertex_weights(), p), 0.35);
 }
 
+// Ten unit vertices in cliques of 4, 3 and 3: total weight 10 over k = 3.
+Hypergraph three_cliques() {
+  HypergraphBuilder b(10);
+  b.add_net({0, 1, 2, 3}, 10);
+  b.add_net({4, 5, 6}, 10);
+  b.add_net({7, 8, 9}, 10);
+  return b.finalize();
+}
+
+// Regression: the greedy coarse assignment truncated avg * (1 + eps) to 3
+// at total weight 10, k = 3, eps = 0.05, so the 4-clique could never be
+// placed whole and the best possible 4/3/3 split was out of reach. The
+// ceil-aware bound is ceil(10/3) = 4. No refinement pass runs, so the
+// result is the greedy assignment itself.
+TEST(Partitioner, DirectKwayGreedyFillsPartsUpToCeilOfFractionalAverage) {
+  const Hypergraph h = three_cliques();
+  PartitionConfig cfg;
+  cfg.num_parts = 3;
+  cfg.epsilon = 0.05;
+  cfg.max_refine_passes = 0;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    cfg.seed = seed;
+    const Partition p = direct_kway_partition(h, cfg);
+    EXPECT_EQ(connectivity_cut(h, p), 0) << "seed " << seed;
+    for (const Weight w : part_weights(h.vertex_weights(), p))
+      EXPECT_LE(w, max_part_weight(10, 3, cfg.epsilon));
+  }
+}
+
 TEST(Partitioner, OddK) {
   const Hypergraph h = random_hypergraph(90, 180, 4, 2, 10);
   PartitionConfig cfg;

@@ -1,6 +1,7 @@
 // Shared helpers for the hgr test suite.
 #pragma once
 
+#include <cstdint>
 #include <initializer_list>
 #include <vector>
 
@@ -78,6 +79,21 @@ inline Partition random_partition(Index n, Index k, std::uint64_t seed) {
     p[v] = PartId{
         static_cast<Index>(rng.below(static_cast<std::uint64_t>(k)))};
   return p;
+}
+
+/// FNV-1a over the little-endian bytes of every part id, folded into `h`:
+/// the fingerprint golden and parity tests pin partitions with.
+inline std::uint64_t fnv1a(const Partition& p,
+                           std::uint64_t h = 14695981039346656037ull) {
+  for (const PartId q : p.assignment) {
+    auto x = static_cast<std::uint32_t>(q.v);
+    for (int b = 0; b < 4; ++b) {
+      h ^= x & 0xFFu;
+      h *= 1099511628211ull;
+      x >>= 8;
+    }
+  }
+  return h;
 }
 
 /// Brute-force connectivity-1 cut for cross-checking the fast path.
