@@ -52,10 +52,9 @@ const Hypergraph& bench_hypergraph() {
 
 void BM_IpmMatching(benchmark::State& state) {
   const Hypergraph& h = bench_hypergraph();
-  PartitionConfig cfg;
   for (auto _ : state) {
     Rng rng(42);
-    benchmark::DoNotOptimize(ipm_matching(h, cfg, 0, rng));
+    benchmark::DoNotOptimize(ipm_matching(h, 0, rng));
   }
   state.SetItemsProcessed(state.iterations() * h.num_vertices());
 }
@@ -63,9 +62,8 @@ BENCHMARK(BM_IpmMatching);
 
 void BM_Contract(benchmark::State& state) {
   const Hypergraph& h = bench_hypergraph();
-  PartitionConfig cfg;
   Rng rng(42);
-  const auto match = ipm_matching(h, cfg, 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(contract(h, match));
   }

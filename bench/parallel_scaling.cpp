@@ -104,7 +104,7 @@ ThreadStudy run_thread_study(const Hypergraph& h, const Options& opt) {
   // contraction consumes and the starting partition refinement improves.
   Rng match_rng(derive_seed(opt.seed, 1));
   const IdVector<VertexId, VertexId> fixed_match =
-      ipm_matching(h, cfg, 0, match_rng);
+      ipm_matching(h, 0, match_rng);
   Partition start(cfg.num_parts, h.num_vertices());
   Rng part_rng(derive_seed(opt.seed, 2));
   for (const VertexId v : start.vertices())
@@ -125,7 +125,7 @@ ThreadStudy run_thread_study(const Hypergraph& h, const Options& opt) {
       Rng rng(derive_seed(opt.seed, 10));
       WallTimer timer;
       const IdVector<VertexId, VertexId> match =
-          ipm_matching(h, cfg, 0, rng, &ws);
+          ipm_matching(h, 0, rng, &ws);
       study.matching.seconds[ti].push_back(timer.seconds());
 
       // Contraction (of the shared fixed matching).

@@ -65,14 +65,6 @@ class IndexedMaxHeap {
     }
   }
 
-  void insert_or_adjust(Index item, Weight key) {
-    if (contains(item)) {
-      adjust(item, key);
-    } else {
-      insert(item, key);
-    }
-  }
-
   Index top() const {
     HGR_DASSERT(!empty());
     return heap_.front();

@@ -74,7 +74,7 @@ IncrementalOutcome IncrementalRepartitioner::try_epoch(
   }
   const double frac = delta.fraction(n);
   if (mode == IncrementalMode::kAuto &&
-      frac > cfg.partition.incremental_max_delta_frac) {
+      frac > kIncrementalMaxDeltaFrac) {
     out.reason = "delta_frac";
     out.seconds = timer.seconds();
     return out;
@@ -166,7 +166,7 @@ IncrementalOutcome IncrementalRepartitioner::try_epoch(
     if (cache.part_weight(q) > max_pw) over = true;
   if (over) {
     out.reason = "imbalance";
-  } else if (out.drift > cfg.partition.incremental_max_drift) {
+  } else if (out.drift > kIncrementalMaxDrift) {
     out.reason = "drift";
   } else {
     out.accepted = true;

@@ -9,8 +9,8 @@
 // vertices and their one-hop neighborhood, apply bounded greedy moves
 // through the GainCache under the ceil-aware balance bound, and accept the
 // result only while drift — cut degradation relative to the last full-tier
-// partition, plus residual imbalance — stays inside the PartitionConfig
-// thresholds. Anything else escalates to the full V-cycle, which also
+// partition, plus residual imbalance — stays inside the two thresholds
+// below. Anything else escalates to the full V-cycle, which also
 // refreshes the drift baseline.
 #pragma once
 
@@ -24,6 +24,16 @@
 #include "metrics/partition.hpp"
 
 namespace hgr {
+
+/// The fast path's result is rejected when (incremental cut - last
+/// full-tier cut) / max(1, last full-tier cut) exceeds this fraction.
+inline constexpr double kIncrementalMaxDrift = 0.10;
+
+/// IncrementalMode::kAuto only: epochs whose changed+removed vertex
+/// fraction (EpochDelta::fraction) exceeds this go straight to the full
+/// tier — the fast path is O(delta), and a large delta is a full
+/// repartition in disguise.
+inline constexpr double kIncrementalMaxDeltaFrac = 0.02;
 
 /// What changed between two consecutive epochs, in the newer epoch's
 /// compact vertex ids.

@@ -1,11 +1,11 @@
 #include "graphpart/adaptive_repart.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "graphpart/gcoarsen.hpp"
 #include "graphpart/grefine.hpp"
+#include "partition/coarsen_rule.hpp"
 
 namespace hgr {
 
@@ -17,12 +17,7 @@ Partition adaptive_repartition(const Graph& g, const Partition& old_p,
   if (cfg.base.num_parts == 1 || g.num_vertices() == 0) return old_p;
 
   Rng rng(cfg.base.seed);
-  const Index stop_size =
-      std::max<Index>(cfg.base.coarsen_to, 4 * cfg.base.num_parts);
-  const Weight max_vertex_weight = std::max<Weight>(
-      1, static_cast<Weight>(cfg.base.max_coarse_weight_factor *
-                             static_cast<double>(g.total_vertex_weight()) /
-                             std::max<Index>(1, stop_size)));
+  const CoarseningRule rule(g.total_vertex_weight(), 4 * cfg.base.num_parts);
 
   // Coarsen with same-old-part ("local") matching; the old assignment of a
   // coarse vertex is the shared old assignment of its constituents.
@@ -33,18 +28,17 @@ Partition adaptive_repartition(const Graph& g, const Partition& old_p,
   std::vector<Level> levels;
   const Graph* current = &g;
   const Partition* current_old = &old_p;
-  for (Index level = 0; level < cfg.base.max_levels; ++level) {
-    if (current->num_vertices() <= stop_size) break;
+  for (Index level = 0; rule.continues(level, current->num_vertices());
+       ++level) {
     const std::vector<Index> match = heavy_edge_matching(
-        *current, max_vertex_weight, rng,
+        *current, rule.max_vertex_weight, rng,
         // hgr-lint: raw-ok (graph layer keeps raw spans of part labels)
         std::span<const PartId>(current_old->assignment.raw()));
     Level next;
     next.cl = contract_graph(*current, match);
-    const double reduction =
-        1.0 - static_cast<double>(next.cl.coarse.num_vertices()) /
-                  static_cast<double>(current->num_vertices());
-    if (reduction < cfg.base.min_coarsen_reduction) break;
+    if (CoarseningRule::stalled(current->num_vertices(),
+                                next.cl.coarse.num_vertices()))
+      break;
     next.old_parts =
         Partition(old_p.k, next.cl.coarse.num_vertices(), kNoPart);
     for (Index v = 0; v < current->num_vertices(); ++v) {

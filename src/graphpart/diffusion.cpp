@@ -20,7 +20,7 @@ Partition diffusive_repartition(const Graph& g, const Partition& old_p,
   IdVector<PartId, Weight> part_w = part_weights(g.vertex_weights(), p);
   const double avg =
       static_cast<double>(g.total_vertex_weight()) / static_cast<double>(k);
-  const auto max_w = static_cast<Weight>(avg * (1.0 + cfg.epsilon));
+  const Weight max_w = max_part_weight(g.total_vertex_weight(), k, cfg.epsilon);
 
   Rng rng(cfg.seed);
   for (Index round = 0; round < cfg.max_rounds; ++round) {

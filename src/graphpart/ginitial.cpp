@@ -16,9 +16,7 @@ Partition greedy_graph_growing(const Graph& g, const PartitionConfig& cfg,
   const Index k = cfg.num_parts;
   Partition p(k, n, kNoPart);
   IdVector<PartId, Weight> part_w(k, 0);
-  const double avg =
-      static_cast<double>(g.total_vertex_weight()) / static_cast<double>(k);
-  const auto max_w = static_cast<Weight>(avg * (1.0 + cfg.epsilon));
+  const Weight max_w = max_part_weight(g.total_vertex_weight(), k, cfg.epsilon);
 
   // One frontier heap per part, keyed by connection strength to the part.
   std::vector<IndexedMaxHeap> frontier;

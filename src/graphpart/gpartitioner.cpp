@@ -7,6 +7,7 @@
 #include "graphpart/gcoarsen.hpp"
 #include "graphpart/ginitial.hpp"
 #include "graphpart/grefine.hpp"
+#include "partition/coarsen_rule.hpp"
 
 namespace hgr {
 
@@ -16,23 +17,18 @@ Partition partition_graph(const Graph& g, const PartitionConfig& cfg) {
     return Partition(std::max<Index>(1, cfg.num_parts), g.num_vertices());
 
   Rng rng(cfg.seed);
-  const Index stop_size = std::max<Index>(cfg.coarsen_to, 4 * cfg.num_parts);
-  const Weight max_vertex_weight = std::max<Weight>(
-      1, static_cast<Weight>(cfg.max_coarse_weight_factor *
-                             static_cast<double>(g.total_vertex_weight()) /
-                             std::max<Index>(1, stop_size)));
+  const CoarseningRule rule(g.total_vertex_weight(), 4 * cfg.num_parts);
 
   std::vector<GraphCoarseLevel> levels;
   const Graph* current = &g;
-  for (Index level = 0; level < cfg.max_levels; ++level) {
-    if (current->num_vertices() <= stop_size) break;
+  for (Index level = 0; rule.continues(level, current->num_vertices());
+       ++level) {
     const std::vector<Index> match =
-        heavy_edge_matching(*current, max_vertex_weight, rng);
+        heavy_edge_matching(*current, rule.max_vertex_weight, rng);
     GraphCoarseLevel next = contract_graph(*current, match);
-    const double reduction =
-        1.0 - static_cast<double>(next.coarse.num_vertices()) /
-                  static_cast<double>(current->num_vertices());
-    if (reduction < cfg.min_coarsen_reduction) break;
+    if (CoarseningRule::stalled(current->num_vertices(),
+                                next.coarse.num_vertices()))
+      break;
     levels.push_back(std::move(next));
     current = &levels.back().coarse;
   }

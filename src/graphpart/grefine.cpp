@@ -16,9 +16,7 @@ class GRefiner {
   GRefiner(const Graph& g, Partition& p, const GRefineOptions& opt)
       : g_(g), p_(p), opt_(opt), conn_(p.k, 0) {
     part_w_ = part_weights(g.vertex_weights(), p);
-    const double avg = static_cast<double>(g.total_vertex_weight()) /
-                       static_cast<double>(p.k);
-    max_w_ = static_cast<Weight>(avg * (1.0 + opt.epsilon));
+    max_w_ = max_part_weight(g.total_vertex_weight(), p.k, opt.epsilon);
   }
 
   bool balanced() const {

@@ -27,11 +27,14 @@ struct MatchedPair {
 };
 
 /// The rank matchers' partner predicate: score only this rank's own
-/// block [lo, hi), and only vertices still unmatched.
-auto own_unmatched(const IdVector<VertexId, VertexId>& match, Index lo,
+/// block [lo, hi), only vertices still unmatched, and, as in the serial
+/// matcher, no vertex above the degree cap.
+auto own_unmatched(const Hypergraph& h,
+                   const IdVector<VertexId, VertexId>& match, Index lo,
                    Index hi) {
-  return [&match, lo, hi](VertexId u) {
-    return u.v >= lo && u.v < hi && match[u] == u;
+  return [&h, &match, lo, hi](VertexId u) {
+    return u.v >= lo && u.v < hi && match[u] == u &&
+           h.vertex_degree(u) <= kMaxMatchingDegree;
   };
 }
 
@@ -68,7 +71,6 @@ std::pair<VertexId, Weight> select_partner(
 
 IdVector<VertexId, VertexId> parallel_ipm_matching(RankContext& ctx,
                                                    const Hypergraph& h,
-                                                   const PartitionConfig& cfg,
                                                    Weight max_vertex_weight,
                                                    std::uint64_t seed) {
   const Index n = h.num_vertices();
@@ -77,7 +79,7 @@ IdVector<VertexId, VertexId> parallel_ipm_matching(RankContext& ctx,
 
   const auto [lo, hi] = block_range(n, ctx.size(), ctx.rank());
   Rng rng(derive_seed(seed, static_cast<std::uint64_t>(ctx.rank())));
-  const auto eligible = own_unmatched(match, lo, hi);
+  const auto eligible = own_unmatched(h, match, lo, hi);
 
   // Local unmatched vertices in random visit order.
   std::vector<VertexId> local;
@@ -99,7 +101,7 @@ IdVector<VertexId, VertexId> parallel_ipm_matching(RankContext& ctx,
             : (local.size() + rounds - 1) / static_cast<std::size_t>(rounds);
     while (cursor < local.size() && candidates.size() < budget) {
       const VertexId v = local[cursor++];
-      if (match[v] == v && h.vertex_degree(v) <= cfg.max_matching_degree)
+      if (match[v] == v && h.vertex_degree(v) <= kMaxMatchingDegree)
         candidates.push_back(v);
     }
 
@@ -113,8 +115,7 @@ IdVector<VertexId, VertexId> parallel_ipm_matching(RankContext& ctx,
     std::vector<Proposal> proposals;
     for (const VertexId c : all_candidates.all()) {
       if (match[c] != c) continue;
-      accumulate_ipm_scores(h, c, cfg.max_scored_net_size, eligible, score,
-                            touched);
+      accumulate_ipm_scores(h, c, eligible, score, touched);
       const auto [best, best_score] =
           select_partner(h, c, max_vertex_weight, score, touched);
       if (best != kInvalidVertex)
@@ -162,7 +163,6 @@ IdVector<VertexId, VertexId> parallel_ipm_matching(RankContext& ctx,
 
 IdVector<VertexId, VertexId> local_ipm_matching(RankContext& ctx,
                                                 const Hypergraph& h,
-                                                const PartitionConfig& cfg,
                                                 Weight max_vertex_weight,
                                                 std::uint64_t seed) {
   const Index n = h.num_vertices();
@@ -171,7 +171,7 @@ IdVector<VertexId, VertexId> local_ipm_matching(RankContext& ctx,
 
   const auto [lo, hi] = block_range(n, ctx.size(), ctx.rank());
   Rng rng(derive_seed(seed, 31 + static_cast<std::uint64_t>(ctx.rank())));
-  const auto eligible = own_unmatched(match, lo, hi);
+  const auto eligible = own_unmatched(h, match, lo, hi);
 
   // Serial first-choice IPM restricted to the local vertex block: both the
   // initiating vertex and its partner are owned here.
@@ -184,9 +184,8 @@ IdVector<VertexId, VertexId> local_ipm_matching(RankContext& ctx,
   std::vector<MatchedPair> pairs;
   for (const VertexId v : order) {
     if (match[v] != v) continue;
-    if (h.vertex_degree(v) > cfg.max_matching_degree) continue;
-    accumulate_ipm_scores(h, v, cfg.max_scored_net_size, eligible, score,
-                          touched);
+    if (h.vertex_degree(v) > kMaxMatchingDegree) continue;
+    accumulate_ipm_scores(h, v, eligible, score, touched);
     const VertexId best =
         select_partner(h, v, max_vertex_weight, score, touched).first;
     if (best != kInvalidVertex) {

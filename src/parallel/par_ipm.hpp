@@ -22,7 +22,6 @@
 #include "common/rng.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "parallel/comm.hpp"
-#include "partition/config.hpp"
 
 namespace hgr {
 
@@ -52,7 +51,6 @@ inline std::pair<Index, Index> block_range(Index n, int size, int r) {
 /// partner, v when unmatched), typed like the serial ipm_matching.
 IdVector<VertexId, VertexId> parallel_ipm_matching(RankContext& ctx,
                                                    const Hypergraph& h,
-                                                   const PartitionConfig& cfg,
                                                    Weight max_vertex_weight,
                                                    std::uint64_t seed);
 
@@ -66,7 +64,6 @@ IdVector<VertexId, VertexId> parallel_ipm_matching(RankContext& ctx,
 /// global version.
 IdVector<VertexId, VertexId> local_ipm_matching(RankContext& ctx,
                                                 const Hypergraph& h,
-                                                const PartitionConfig& cfg,
                                                 Weight max_vertex_weight,
                                                 std::uint64_t seed);
 

@@ -1,6 +1,5 @@
 #include "parallel/par_partitioner.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -19,6 +18,7 @@
 #include "parallel/par_coarsen.hpp"
 #include "parallel/par_initial.hpp"
 #include "parallel/par_ipm.hpp"
+#include "partition/coarsen_rule.hpp"
 #include "partition/partitioner.hpp"  // record_coarsen_level
 
 namespace hgr {
@@ -96,13 +96,8 @@ ParallelPartitionResult parallel_partition_hypergraph(
       ws.set_pool(&*thread_pool);
     }
 
-    const Index stop_size =
-        std::max<Index>(cfg.base.coarsen_to, 2 * cfg.base.num_parts);
-    const Weight max_vertex_weight = std::max<Weight>(
-        1,
-        static_cast<Weight>(cfg.base.max_coarse_weight_factor *
-                            static_cast<double>(h.total_vertex_weight()) /
-                            std::max<Index>(1, stop_size)));
+    const CoarseningRule rule(h.total_vertex_weight(),
+                              2 * cfg.base.num_parts);
 
     // Coarsening: every rank holds the (replicated) current level; the
     // matching itself is computed cooperatively and is identical on all
@@ -113,21 +108,20 @@ ParallelPartitionResult parallel_partition_hypergraph(
       obs::TraceScope coarsen_scope("coarsen");
       WallTimer phase_timer;
       const double wait_before = blocked_seconds();
-      for (Index level = 0; level < cfg.base.max_levels; ++level) {
-        if (current->num_vertices() <= stop_size) break;
+      for (Index level = 0; rule.continues(level, current->num_vertices());
+           ++level) {
         const std::uint64_t level_seed =
             derive_seed(cfg.base.seed, static_cast<std::uint64_t>(level));
         const IdVector<VertexId, VertexId> match =
             cfg.local_matching
-                ? local_ipm_matching(ctx, *current, cfg.base,
-                                     max_vertex_weight, level_seed)
-                : parallel_ipm_matching(ctx, *current, cfg.base,
-                                        max_vertex_weight, level_seed);
+                ? local_ipm_matching(ctx, *current, rule.max_vertex_weight,
+                                     level_seed)
+                : parallel_ipm_matching(ctx, *current,
+                                        rule.max_vertex_weight, level_seed);
         CoarseLevel next = parallel_contract(ctx, *current, match, &ws);
-        const double reduction =
-            1.0 - static_cast<double>(next.coarse.num_vertices()) /
-                      static_cast<double>(current->num_vertices());
-        if (reduction < cfg.base.min_coarsen_reduction) break;
+        if (CoarseningRule::stalled(current->num_vertices(),
+                                    next.coarse.num_vertices()))
+          break;
         // Only the lead rank validates: the level is replicated and
         // parallel_contract already checksums cross-rank agreement.
         if (lead) {

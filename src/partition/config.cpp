@@ -17,16 +17,14 @@ const char* to_string(IncrementalMode mode) {
 }
 
 std::string PartitionConfig::to_string() const {
-  char buf[384];
-  std::snprintf(
-      buf, sizeof(buf),
-      "k=%d eps=%.3f seed=%llu coarsen_to=%d trials=%d passes=%d incr=%s "
-      "drift=%.3f delta=%.3f check=%s faults=%s threads=%d",
-      num_parts, epsilon, static_cast<unsigned long long>(seed), coarsen_to,
-      num_initial_trials, max_refine_passes, hgr::to_string(incremental),
-      incremental_max_drift, incremental_max_delta_frac,
-      check::to_string(check_level),
-      fault_plan ? "on" : "off", num_threads);
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "k=%d eps=%.3f seed=%llu trials=%d passes=%d incr=%s "
+                "check=%s faults=%s threads=%d",
+                num_parts, epsilon, static_cast<unsigned long long>(seed),
+                num_initial_trials, max_refine_passes,
+                hgr::to_string(incremental), check::to_string(check_level),
+                fault_plan ? "on" : "off", num_threads);
   return buf;
 }
 

@@ -1,4 +1,9 @@
 // Configuration for the multilevel hypergraph partitioner.
+//
+// The multilevel recipe itself is fixed, as in the paper: the coarsening
+// stop rule lives in partition/coarsen_rule.hpp, the matching caps in
+// partition/matching_ipm.hpp, FM's move limit in partition/refine_fm.cpp
+// and the two-tier thresholds in core/incremental_repart.hpp.
 #pragma once
 
 #include <cstdint>
@@ -33,35 +38,11 @@ struct PartitionConfig {
   /// Seed for every randomized stage; same seed => identical partition.
   std::uint64_t seed = 1;
 
-  /// Coarsening stops when the hypergraph has at most
-  /// max(coarsen_to, 2 * num_parts) vertices (paper: "less than 2k")...
-  Index coarsen_to = 100;
-
-  /// ...or when a level shrinks by less than this fraction (paper: 10%).
-  double min_coarsen_reduction = 0.10;
-
-  Index max_levels = 60;
-
-  /// Vertices heavier than max_coarse_weight_factor * (total / coarsen_to)
-  /// are not merged further, preventing unbalanced coarse vertices.
-  double max_coarse_weight_factor = 1.5;
-
-  /// Vertices with degree above this sit out IPM matching entirely (the
-  /// mutual-proposal rounds need both endpoints to score each other, so a
-  /// vertex too expensive to score cannot be a partner either); guards
-  /// against quadratic blowup on hubs such as the repartitioning model's
-  /// partition vertices.
-  Index max_matching_degree = 4096;
-
   /// Shared-memory threads per rank for the thread-parallel kernels
   /// (matching, contraction, k-way refinement). Composes with the rank
   /// count of a parallel run: p ranks x num_threads threads. Results are
   /// bit-identical for any value (docs/PARALLELISM.md).
   Index num_threads = 1;
-
-  /// Nets larger than this are ignored while scoring inner products (their
-  /// contribution to the match quality is negligible and they are costly).
-  Index max_scored_net_size = 1024;
 
   /// Randomized greedy-hypergraph-growing restarts at the coarsest level.
   Index num_initial_trials = 8;
@@ -69,24 +50,11 @@ struct PartitionConfig {
   /// FM pass-pairs per uncoarsening level.
   Index max_refine_passes = 4;
 
-  /// Moves allowed past the last improvement within an FM pass before the
-  /// pass aborts (classic FM early termination).
-  Index fm_move_limit = 350;
-
   /// Two-tier epoch routing: see IncrementalMode. The fast path applies
   /// bounded greedy moves through the gain cache; it escalates to the full
   /// V-cycle when the epoch delta or the accumulated drift crosses the
-  /// thresholds below (docs/INCREMENTAL.md).
+  /// thresholds of core/incremental_repart.hpp (docs/INCREMENTAL.md).
   IncrementalMode incremental = IncrementalMode::kOff;
-
-  /// Escalate when (incremental cut - last full-tier cut) / max(1, last
-  /// full-tier cut) exceeds this fraction.
-  double incremental_max_drift = 0.10;
-
-  /// kAuto only: epochs whose changed+removed vertex fraction exceeds this
-  /// go straight to the full tier (the fast path is O(delta); a large
-  /// delta is a full repartition in disguise).
-  double incremental_max_delta_frac = 0.02;
 
   /// Runtime invariant verification (src/check/): validators run at every
   /// coarsening level, after every (re)partitioning stage, and per epoch.

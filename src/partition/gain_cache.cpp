@@ -34,8 +34,7 @@ GainCache::GainCache(const Hypergraph& h, Index k,
       conn_(ws),
       part_(ws),
       part_w_(ws),
-      leave_gain_(ws),
-      scratch_(ws) {
+      leave_gain_(ws) {
   HGR_ASSERT(k >= 1);
   HGR_ASSERT(parts.ssize() == h.num_vertices());
   const auto n = static_cast<std::size_t>(h.num_vertices());
@@ -45,7 +44,6 @@ GainCache::GainCache(const Hypergraph& h, Index k,
   part_->assign(parts.begin(), parts.end());
   part_w_->assign(static_cast<std::size_t>(k), 0);
   leave_gain_->assign(n, 0);
-  scratch_->assign(words_per_row_, 0);
 
   for (const VertexId v : h.vertices()) {
     const PartId q = part_of(v);
@@ -73,10 +71,6 @@ GainCache::GainCache(const Hypergraph& h, Index k,
   }
   static obs::CachedCounter builds("gain_cache.builds");
   builds += 1;
-}
-
-void GainCache::candidate_parts_into(std::vector<PartId>& out, VertexId v) {
-  candidate_parts_into(out, v, scratch_.get());
 }
 
 void GainCache::candidate_parts_into(std::vector<PartId>& out, VertexId v,

@@ -125,12 +125,9 @@ class GainCache {
 
   /// Distinct parts (other than part_of(v)) touched by v's nets, i.e. the
   /// candidate destinations of a boundary move. Ascending part order.
-  /// O(deg(v) * k/64 + |result|) — no pin-list traversal.
-  void candidate_parts_into(std::vector<PartId>& out, VertexId v);
-
-  /// Same, with caller-supplied word scratch instead of the cache's own —
-  /// const, so thread-parallel readers (the k-way proposal phase) can share
-  /// one frozen cache as long as each thread brings its own scratch.
+  /// O(deg(v) * k/64 + |result|) — no pin-list traversal. `scratch` is
+  /// caller-owned word scratch, so thread-parallel readers (the k-way
+  /// proposal phase) can share one frozen cache, each with its own.
   void candidate_parts_into(std::vector<PartId>& out, VertexId v,
                             std::vector<std::uint64_t>& scratch) const;
 
@@ -232,7 +229,6 @@ class GainCache {
   Borrowed<PartId> part_;           // maintained assignment copy
   Borrowed<Weight> part_w_;         // per-part total vertex weight
   Borrowed<Weight> leave_gain_;     // per-vertex sole-pin gain
-  Borrowed<std::uint64_t> scratch_; // candidate_parts_into OR-accumulator
   Weight cut_ = 0;
 };
 

@@ -38,7 +38,6 @@ constexpr int kStaleRounds = 4;
 // per round. The salt is drawn serially from `rng` once per round, so the
 // random stream is consumed identically at every thread count.
 IdVector<VertexId, VertexId> ipm_matching(const Hypergraph& h,
-                                          const PartitionConfig& cfg,
                                           Weight max_vertex_weight, Rng& rng,
                                           Workspace* ws) {
   const Index n = h.num_vertices();
@@ -95,13 +94,12 @@ IdVector<VertexId, VertexId> ipm_matching(const Hypergraph& h,
         const VertexId v{vi};
         prop[v] = kInvalidVertex;
         if (match[v] != v) continue;  // already matched
-        if (h.vertex_degree(v) > cfg.max_matching_degree) continue;
+        if (h.vertex_degree(v) > kMaxMatchingDegree) continue;
         const PartId fv = h.fixed_part(v);
         const Weight wv = h.vertex_weight(v);
 
         accumulate_ipm_scores(
-            h, v, cfg.max_scored_net_size,
-            [&](VertexId u) { return match[u] == u; }, score, touched);
+            h, v, [&](VertexId u) { return match[u] == u; }, score, touched);
 
         // Selection: highest inner product among feasible partners; ties
         // prefer the lighter partner (balances coarse weights), then the
@@ -115,7 +113,7 @@ IdVector<VertexId, VertexId> ipm_matching(const Hypergraph& h,
           score[u] = 0;  // reset for the next vertex
           // A partner above the degree cap could never reciprocate (it
           // sits out phase 1), so proposing to it is wasted.
-          if (h.vertex_degree(u) > cfg.max_matching_degree) continue;
+          if (h.vertex_degree(u) > kMaxMatchingDegree) continue;
           if (!fixed_compatible(fv, h.fixed_part(u))) continue;
           if (max_vertex_weight > 0 &&
               wv + h.vertex_weight(u) > max_vertex_weight)

@@ -18,9 +18,18 @@
 #include "common/rng.hpp"
 #include "common/workspace.hpp"
 #include "hypergraph/hypergraph.hpp"
-#include "partition/config.hpp"
 
 namespace hgr {
+
+/// Vertices with degree above this sit out IPM matching entirely, as
+/// initiators and as partners (the serial mutual-proposal rounds need both
+/// endpoints to score each other); guards against quadratic blowup on hubs
+/// such as the repartitioning model's partition vertices.
+inline constexpr Index kMaxMatchingDegree = 4096;
+
+/// Nets larger than this are ignored while scoring inner products (their
+/// contribution to the match quality is negligible and they are costly).
+inline constexpr Index kMaxScoredNetSize = 1024;
 
 /// Mutual-proposal IPM. Returns match[v] = partner (match[v] == v for
 /// unmatched). max_vertex_weight: pairs whose combined weight exceeds it
@@ -28,25 +37,23 @@ namespace hgr {
 /// (optional) pools the score/proposal scratch across levels and supplies
 /// the ThreadPool the proposal rounds run on (serial when absent).
 IdVector<VertexId, VertexId> ipm_matching(const Hypergraph& h,
-                                          const PartitionConfig& cfg,
                                           Weight max_vertex_weight, Rng& rng,
                                           Workspace* ws = nullptr);
 
 /// The one IPM score accumulator (serial and rank-parallel matchers):
-/// over v's nets of 2..max_scored_net_size pins and nonzero cost, adds the
+/// over v's nets of 2..kMaxScoredNetSize pins and nonzero cost, adds the
 /// net cost to score[u] for every other pin u with eligible(u). `touched`
 /// receives each scored u once, in first-score order; `score` must be zero
 /// on entry wherever eligible, and the caller zeroes the touched entries
 /// as it reads them.
 template <typename Eligible>
 void accumulate_ipm_scores(const Hypergraph& h, VertexId v,
-                           Index max_scored_net_size, Eligible&& eligible,
-                           IdSpan<VertexId, Weight> score,
+                           Eligible&& eligible, IdSpan<VertexId, Weight> score,
                            std::vector<VertexId>& touched) {
   touched.clear();
   for (const NetId net : h.incident_nets(v)) {
     const Index size = h.net_size(net);
-    if (size < 2 || size > max_scored_net_size) continue;
+    if (size < 2 || size > kMaxScoredNetSize) continue;
     const Weight c = h.net_cost(net);
     if (c == 0) continue;
     for (const VertexId u : h.pins(net)) {

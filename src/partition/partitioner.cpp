@@ -9,6 +9,7 @@
 #include "common/thread_pool.hpp"
 #include "metrics/balance.hpp"
 #include "obs/trace.hpp"
+#include "partition/coarsen_rule.hpp"
 #include "partition/kway_refine.hpp"
 #include "partition/matching_ipm.hpp"
 #include "partition/recursive_bisect.hpp"
@@ -87,25 +88,21 @@ void record_coarsen_level(Index fine_vertices, Index coarse_vertices,
 }
 
 std::vector<CoarseLevel> coarsen_hierarchy(const Hypergraph& h,
-                                           Index stop_size,
+                                           Index min_stop_size,
                                            const PartitionConfig& cfg,
                                            Rng& rng, Workspace* ws) {
   obs::TraceScope coarsen_scope("coarsen");
   std::vector<CoarseLevel> levels;
   const Hypergraph* current = &h;
-  const Weight max_vertex_weight = std::max<Weight>(
-      1, static_cast<Weight>(cfg.max_coarse_weight_factor *
-                             static_cast<double>(h.total_vertex_weight()) /
-                             std::max<Index>(1, stop_size)));
-  for (Index level = 0; level < cfg.max_levels; ++level) {
-    if (current->num_vertices() <= stop_size) break;
+  const CoarseningRule rule(h.total_vertex_weight(), min_stop_size);
+  for (Index level = 0; rule.continues(level, current->num_vertices());
+       ++level) {
     const IdVector<VertexId, VertexId> match =
-        ipm_matching(*current, cfg, max_vertex_weight, rng, ws);
+        ipm_matching(*current, rule.max_vertex_weight, rng, ws);
     CoarseLevel next = contract(*current, match, ws);
-    const double reduction =
-        1.0 - static_cast<double>(next.coarse.num_vertices()) /
-                  static_cast<double>(current->num_vertices());
-    if (reduction < cfg.min_coarsen_reduction) break;  // stalled
+    if (CoarseningRule::stalled(current->num_vertices(),
+                                next.coarse.num_vertices()))
+      break;
     record_coarsen_level(current->num_vertices(), next.coarse.num_vertices(),
                          match);
     check::validate_coarsening(*current, next, cfg.check_level);
@@ -118,8 +115,8 @@ std::vector<CoarseLevel> coarsen_hierarchy(const Hypergraph& h,
 Partition direct_kway_partition(const Hypergraph& h,
                                 const PartitionConfig& cfg, Workspace* ws) {
   Rng rng(cfg.seed);
-  const std::vector<CoarseLevel> levels = coarsen_hierarchy(
-      h, std::max<Index>(cfg.coarsen_to, 2 * cfg.num_parts), cfg, rng, ws);
+  const std::vector<CoarseLevel> levels =
+      coarsen_hierarchy(h, 2 * cfg.num_parts, cfg, rng, ws);
   const Hypergraph& coarsest = levels.empty() ? h : levels.back().coarse;
 
   Partition p(cfg.num_parts, coarsest.num_vertices());

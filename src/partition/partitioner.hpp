@@ -26,13 +26,13 @@ void record_coarsen_level(Index fine_vertices, Index coarse_vertices,
 
 /// The serial multilevel coarsening loop shared by the bisection and
 /// direct k-way paths: IPM matching + contraction, one level at a time,
-/// until the hypergraph has at most `stop_size` vertices, cfg.max_levels
-/// levels exist, or a level shrinks by less than cfg.min_coarsen_reduction
-/// (that level is discarded). Every accepted level is recorded and
-/// validated. Returns the levels finest first; the coarsest hypergraph is
-/// levels.back().coarse, or `h` itself when nothing was accepted.
+/// under the CoarseningRule (partition/coarsen_rule.hpp) whose stop size
+/// is max(kCoarsenTo, `min_stop_size`); a stalled level is discarded.
+/// Every accepted level is recorded and validated. Returns the levels
+/// finest first; the coarsest hypergraph is levels.back().coarse, or `h`
+/// itself when nothing was accepted.
 std::vector<CoarseLevel> coarsen_hierarchy(const Hypergraph& h,
-                                           Index stop_size,
+                                           Index min_stop_size,
                                            const PartitionConfig& cfg,
                                            Rng& rng, Workspace* ws);
 

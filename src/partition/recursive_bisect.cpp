@@ -158,8 +158,8 @@ IdVector<VertexId, PartId> multilevel_bisect(const Hypergraph& h,
                                              const BisectionTargets& targets,
                                              const PartitionConfig& cfg,
                                              Rng& rng, Workspace* ws) {
-  const std::vector<CoarseLevel> levels = coarsen_hierarchy(
-      h, std::max<Index>(cfg.coarsen_to, 20), cfg, rng, ws);
+  const std::vector<CoarseLevel> levels =
+      coarsen_hierarchy(h, 20, cfg, rng, ws);
   const Hypergraph& coarsest = levels.empty() ? h : levels.back().coarse;
 
   // Coarsest partitioning: randomized greedy growing, several trials, then

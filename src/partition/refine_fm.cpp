@@ -13,6 +13,10 @@ namespace hgr {
 
 namespace {
 
+/// Moves allowed past the last improvement within an FM pass before the
+/// pass aborts (classic FM early termination).
+constexpr Index kFmMoveLimit = 350;
+
 /// Lexicographic quality of a bisection state: feasible beats infeasible,
 /// then less overweight, then lower cut. Smaller is better.
 struct StateScore {
@@ -35,14 +39,10 @@ class FmPass {
         targets_(targets),
         cfg_(cfg),
         ws_(ws),
-        locked_(ws),
-        gain_(ws),
         stash_(ws),
         cache_(h, 2, side, ws),
         queues_{IndexedMaxHeap(h.num_vertices()),
                 IndexedMaxHeap(h.num_vertices())} {
-    locked_->assign(static_cast<std::size_t>(h.num_vertices()), false);
-    gain_->assign(static_cast<std::size_t>(h.num_vertices()), 0);
     for (const VertexId v : h_.vertices())
       if (movable(v)) slack_ = std::max(slack_, h_.vertex_weight(v));
   }
@@ -70,7 +70,7 @@ class FmPass {
     Index best_prefix = 0;  // number of moves kept
     Index since_best = 0;
 
-    while (since_best <= cfg_.fm_move_limit) {
+    while (since_best <= kFmMoveLimit) {
       const VertexId v = select_move();
       if (v == kInvalidVertex) break;
       apply_move(v);
@@ -85,9 +85,11 @@ class FmPass {
       }
     }
 
+    check_queue_keys();
     // Roll back everything after the best prefix.
     for (Index i = static_cast<Index>(moves->size()); i > best_prefix; --i)
       undo_move(moves[static_cast<std::size_t>(i - 1)]);
+    cache_.validate(cfg_.check_level);
 
     queues_[0].clear();
     queues_[1].clear();
@@ -113,20 +115,28 @@ class FmPass {
     return cache_.move_gain(v, PartId{1 - side_at(v)});
   }
 
+  /// The queues are FM's gain table: a vertex is free exactly while it
+  /// sits in its side's queue, keyed by its gain. Random insertion order
+  /// randomizes tie-breaking between passes. Queues are keyed by raw
+  /// vertex id.
   void build_queues(Rng& rng) {
-    // Random insertion order randomizes tie-breaking between passes.
-    // Queues and scratch tables are keyed by raw vertex id.
     Borrowed<Index> order(ws_);
     random_permutation_into(order.get(), h_.num_vertices(), rng);
     for (const Index vi : order.get()) {
       const VertexId v{vi};
-      if (!movable(v)) continue;
-      locked_[static_cast<std::size_t>(v.v)] = false;
-      gain_[static_cast<std::size_t>(v.v)] = compute_gain(v);
-      queues_[side_at(v)].insert(v.v, gain_[static_cast<std::size_t>(v.v)]);
+      if (movable(v)) queues_[side_at(v)].insert(v.v, compute_gain(v));
     }
-    for (const VertexId v : h_.vertices())
-      if (!movable(v)) locked_[static_cast<std::size_t>(v.v)] = true;
+  }
+
+  /// Paranoid check: every queued key still equals the cache's gain.
+  void check_queue_keys() const {
+    if (!check::paranoid(cfg_.check_level)) return;
+    for (const VertexId v : h_.vertices()) {
+      const IndexedMaxHeap& q = queues_[side_at(v)];
+      if (q.contains(v.v))
+        HGR_ASSERT_MSG(q.key(v.v) == compute_gain(v),
+                       "FM queue key diverged from the gain cache");
+    }
   }
 
   /// Pick the next vertex to move, honoring the balance constraint.
@@ -180,10 +190,8 @@ class FmPass {
   }
 
   void update_neighbor_gain(VertexId u, Weight delta) {
-    if (locked_[static_cast<std::size_t>(u.v)]) return;
-    auto& g = gain_[static_cast<std::size_t>(u.v)];
-    g += delta;
-    queues_[side_at(u)].adjust(u.v, g);
+    IndexedMaxHeap& q = queues_[side_at(u)];
+    if (q.contains(u.v)) q.adjust(u.v, q.key(u.v) + delta);
   }
 
   /// Routes the gain cache's four delta-gain events into the FM queues:
@@ -211,14 +219,13 @@ class FmPass {
   void apply_move(VertexId v) {
     const int from = side_at(v);
     const int to = 1 - from;
-    queues_[from].remove(v.v);
-    locked_[static_cast<std::size_t>(v.v)] = true;
     // Distribution of accepted-move gains (signed: FM deliberately takes
     // negative-gain moves to escape local minima; the histogram shows how
     // deep those excursions go). Batched: a plain local record here, one
     // atomic merge into the registry per FmPass — apply_move is far too
     // hot for a per-move atomic record.
-    gain_batch_.record(gain_[static_cast<std::size_t>(v.v)]);
+    gain_batch_.record(queues_[from].key(v.v));
+    queues_[from].remove(v.v);
     QueueUpdater updater{*this, v};
     cache_.apply_move(v, PartId{to}, updater);
     side_[v] = PartId{to};
@@ -237,11 +244,9 @@ class FmPass {
   const PartitionConfig& cfg_;
   Workspace* ws_;
 
-  Borrowed<bool> locked_;
-  Borrowed<Weight> gain_;
   Borrowed<std::pair<VertexId, Weight>> stash_;  // select_move scratch
   GainCache cache_;
-  std::array<IndexedMaxHeap, 2> queues_;  // movable vertices per side by gain
+  std::array<IndexedMaxHeap, 2> queues_;  // free vertices per side by gain
   obs::HistogramSnapshot gain_batch_;  // per-pass accumulator, see ~FmPass
   Weight slack_ = 0;  // heaviest movable vertex: intra-pass balance slack
 };

@@ -25,12 +25,13 @@ struct FmResult {
   Weight initial_cut = 0;
   Weight final_cut = 0;
   Index passes = 0;
-  Index moves_applied = 0;
 };
 
 /// Refine `side` (0/1 per vertex) in place. Fixed vertices (h.fixed_part in
 /// {0,1}) never move. Returns pass statistics. `ws` (optional) pools the
-/// lock/gain/pin-count scratch across bisection levels.
+/// gain-cache and queue scratch across bisection levels. At
+/// CheckLevel::kParanoid every pass cross-checks its queue keys and the
+/// gain cache against from-scratch recomputation.
 FmResult fm_refine_bisection(const Hypergraph& h,
                              IdVector<VertexId, PartId>& side,
                              const BisectionTargets& targets,

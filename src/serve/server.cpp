@@ -217,12 +217,10 @@ std::size_t Server::fast_path_update_limit(const std::string& name) {
   if (gs == nullptr || cfg_.incremental != IncrementalMode::kAuto)
     return SIZE_MAX;
   // kAuto routes an epoch to the fast path while changed / n stays at or
-  // below incremental_max_delta_frac (EpochDelta::fraction). The update
+  // below kIncrementalMaxDeltaFrac (EpochDelta::fraction). The update
   // count bounds the changed set from above.
-  const double frac =
-      make_repart_config(*gs).partition.incremental_max_delta_frac;
-  return static_cast<std::size_t>(
-      frac * static_cast<double>(gs->h.num_vertices()));
+  return static_cast<std::size_t>(kIncrementalMaxDeltaFrac *
+                                  static_cast<double>(gs->h.num_vertices()));
 }
 
 void Server::worker_loop() {

@@ -59,14 +59,6 @@ TEST(IndexedMaxHeap, RemoveArbitrary) {
   EXPECT_EQ(heap.pop(), 3);
 }
 
-TEST(IndexedMaxHeap, InsertOrAdjust) {
-  IndexedMaxHeap heap(2);
-  heap.insert_or_adjust(0, 1);
-  heap.insert_or_adjust(0, 5);
-  EXPECT_EQ(heap.size(), 1);
-  EXPECT_EQ(heap.key(0), 5);
-}
-
 TEST(IndexedMaxHeap, ClearThenReuse) {
   IndexedMaxHeap heap(3);
   heap.insert(0, 1);

@@ -154,13 +154,14 @@ TEST(IncrementalRepart, SmallDeltaAcceptedWithCutIdenticalToScratch) {
 TEST(IncrementalRepart, DriftPastThresholdEscalates) {
   const Hypergraph h = random_hypergraph(80, 160, 4, 3, 5);
   const Partition p = round_robin(h, 4);
-  RepartitionerConfig cfg = inc_cfg(4, IncrementalMode::kOn);
-  // Impossible bar: drift >= -1 by construction, so any result rejects.
-  cfg.partition.incremental_max_drift = -2.0;
+  const RepartitionerConfig cfg = inc_cfg(4, IncrementalMode::kOn);
 
+  // A zero baseline: drift is then the cut itself, so any cut of 1 or more
+  // is past kIncrementalMaxDrift.
   IncrementalRepartitioner inc;
-  inc.note_full(connectivity_cut(h, p));
+  inc.note_full(0);
   const IncrementalOutcome out = inc.try_epoch(h, p, EpochDelta{}, cfg);
+  ASSERT_GT(out.cut, 0);
   EXPECT_TRUE(out.attempted);
   EXPECT_FALSE(out.accepted);
   EXPECT_EQ(out.reason, "drift");
@@ -260,14 +261,15 @@ TEST(TieredRepartition, RejectedFastPathEscalatesToFullTier) {
   const Partition old_p = round_robin(h, 4);
   RepartitionerConfig cfg = inc_cfg(4, IncrementalMode::kOn);
   cfg.alpha = 10;
-  cfg.partition.incremental_max_drift = -2.0;  // force drift rejection
   // This test is about escalation bookkeeping; the full tier it falls
   // through to does not always meet the validator's balance bound on
   // this instance (a partitioner quality matter, not a tiering one).
   cfg.partition.check_level = check::CheckLevel::kOff;
 
+  // A zero baseline forces a drift rejection: any positive cut drifts past
+  // kIncrementalMaxDrift.
   IncrementalRepartitioner inc;
-  inc.note_full(connectivity_cut(h, old_p));
+  inc.note_full(0);
   const GuardedRepartitionResult r = run_tiered_repartition(
       RepartAlgorithm::kHypergraphRepart, h, Graph{}, old_p, cfg, inc,
       EpochDelta{});
@@ -316,9 +318,9 @@ TEST(TieredRepartition, EpochLoopRunsIncrementalTiersUnderParanoidChecks) {
   cfg.partition.num_parts = 4;
   cfg.partition.epsilon = 0.5;
   cfg.partition.seed = 7;
-  cfg.partition.incremental = IncrementalMode::kAuto;
-  cfg.partition.incremental_max_delta_frac = 1.0;
-  cfg.partition.incremental_max_drift = 10.0;
+  // kOn tries the fast path on every epoch whatever the size of its delta;
+  // the drift threshold stays at its default.
+  cfg.partition.incremental = IncrementalMode::kOn;
   // Paranoid checks make every incremental epoch cross-check its cut
   // against from-scratch recomputation (divergence would abort).
   cfg.partition.check_level = check::CheckLevel::kParanoid;

@@ -53,6 +53,32 @@ TEST(GraphPartitioner, MeshBisectionNearSurface) {
   EXPECT_LT(edge_cut(g, p), 300);
 }
 
+// Regression: greedy growing, refinement and diffusion each truncated
+// avg * (1 + eps) to 3 at total weight 10, k = 3, eps = 0.05, so no part
+// could hold the 4-clique and every partition cut it. With the ceil-aware
+// bound (4) the three cliques fit whole.
+TEST(GraphPartitioner, FillsPartsUpToCeilOfFractionalAverage) {
+  GraphBuilder b(10);
+  const auto clique = [&b](Index first, Index size) {
+    for (Index u = first; u < first + size; ++u)
+      for (Index v = u + 1; v < first + size; ++v) b.add_edge(u, v, 1);
+  };
+  clique(0, 4);
+  clique(4, 3);
+  clique(7, 3);
+  const Graph g = b.finalize();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    PartitionConfig cfg;
+    cfg.num_parts = 3;
+    cfg.epsilon = 0.05;
+    cfg.seed = seed;
+    const Partition p = partition_graph(g, cfg);
+    EXPECT_EQ(edge_cut(g, p), 0) << "seed=" << seed;
+    for (const Weight w : part_weights(g.vertex_weights(), p))
+      EXPECT_LE(w, 4) << "seed=" << seed;
+  }
+}
+
 TEST(GraphPartitioner, SinglePart) {
   const Graph g = random_graph(30, 40, 7);
   PartitionConfig cfg;

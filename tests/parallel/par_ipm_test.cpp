@@ -33,12 +33,11 @@ TEST(BlockDistribution, RangesPartitionTheIndexSpace) {
 
 TEST(ParallelIpm, AllRanksAgreeAndInvolution) {
   const Hypergraph h = random_hypergraph(80, 160, 5, 3, 3);
-  PartitionConfig cfg;
   Comm comm(4);
   std::mutex m;
   std::vector<IdVector<VertexId, VertexId>> results;
   comm.run([&](RankContext& ctx) {
-    const auto match = parallel_ipm_matching(ctx, h, cfg, 0, 99);
+    const auto match = parallel_ipm_matching(ctx, h, 0, 99);
     std::lock_guard lock(m);
     results.push_back(match);
   });
@@ -55,12 +54,11 @@ TEST(ParallelIpm, RespectsFixedCompatibility) {
   Rng frng(1);
   for (auto& f : fixed) f = PartId{static_cast<Index>(frng.below(3))};
   h.set_fixed_parts(fixed);
-  PartitionConfig cfg;
   Comm comm(3);
   std::mutex m;
   IdVector<VertexId, VertexId> match;
   comm.run([&](RankContext& ctx) {
-    auto result = parallel_ipm_matching(ctx, h, cfg, 0, 7);
+    auto result = parallel_ipm_matching(ctx, h, 0, 7);
     if (ctx.rank() == 0) {
       std::lock_guard lock(m);
       match = std::move(result);
@@ -79,12 +77,11 @@ TEST(ParallelIpm, MatchesAcrossRankBoundaries) {
   HypergraphBuilder b(40);
   for (Index v = 0; v + 1 < 40; ++v) b.add_net({v, v + 1});
   const Hypergraph h = b.finalize();
-  PartitionConfig cfg;
   Comm comm(4);
   std::mutex m;
   IdVector<VertexId, VertexId> match;
   comm.run([&](RankContext& ctx) {
-    auto result = parallel_ipm_matching(ctx, h, cfg, 0, 13);
+    auto result = parallel_ipm_matching(ctx, h, 0, 13);
     if (ctx.rank() == 0) {
       std::lock_guard lock(m);
       match = std::move(result);
@@ -104,12 +101,11 @@ TEST(ParallelIpm, MatchesAcrossRankBoundaries) {
 
 TEST(ParallelContract, ChecksumAgreesAcrossRanks) {
   const Hypergraph h = random_hypergraph(50, 100, 4, 2, 9);
-  PartitionConfig cfg;
   Comm comm(3);
   std::mutex m;
   Index coarse_n = -1;
   comm.run([&](RankContext& ctx) {
-    const auto match = parallel_ipm_matching(ctx, h, cfg, 0, 3);
+    const auto match = parallel_ipm_matching(ctx, h, 0, 3);
     const CoarseLevel level = parallel_contract(ctx, h, match);
     if (ctx.rank() == 0) {
       std::lock_guard lock(m);
@@ -122,12 +118,11 @@ TEST(ParallelContract, ChecksumAgreesAcrossRanks) {
 
 TEST(LocalIpm, RanksAgreeInvolutionAndBlockLocality) {
   const Hypergraph h = random_hypergraph(80, 160, 5, 3, 13);
-  PartitionConfig cfg;
   Comm comm(4);
   std::mutex m;
   std::vector<IdVector<VertexId, VertexId>> results;
   comm.run([&](RankContext& ctx) {
-    const auto match = local_ipm_matching(ctx, h, cfg, 0, 55);
+    const auto match = local_ipm_matching(ctx, h, 0, 55);
     std::lock_guard lock(m);
     results.push_back(match);
   });
@@ -153,12 +148,11 @@ TEST(LocalIpm, RespectsFixedCompatibility) {
   Rng frng(2);
   for (auto& f : fixed) f = PartId{static_cast<Index>(frng.below(3))};
   h.set_fixed_parts(fixed);
-  PartitionConfig cfg;
   Comm comm(3);
   std::mutex m;
   IdVector<VertexId, VertexId> match;
   comm.run([&](RankContext& ctx) {
-    auto result = local_ipm_matching(ctx, h, cfg, 0, 8);
+    auto result = local_ipm_matching(ctx, h, 0, 8);
     if (ctx.rank() == 0) {
       std::lock_guard lock(m);
       match = std::move(result);
@@ -196,10 +190,9 @@ TEST(LocalIpm, LessTrafficThanGlobal) {
 
 TEST(ParallelIpm, SingleRankMatchesLikeSerialRounds) {
   const Hypergraph h = random_hypergraph(40, 80, 4, 2, 11);
-  PartitionConfig cfg;
   Comm comm(1);
   comm.run([&](RankContext& ctx) {
-    const auto match = parallel_ipm_matching(ctx, h, cfg, 0, 21);
+    const auto match = parallel_ipm_matching(ctx, h, 0, 21);
     Index matched = 0;
     for (const VertexId v : h.vertices())
       if (match[v] != v) ++matched;

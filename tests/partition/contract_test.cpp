@@ -99,8 +99,7 @@ TEST(Contract, FixedPartPropagates) {
 TEST(Contract, TotalWeightInvariant) {
   const Hypergraph h = random_hypergraph(80, 150, 5, 3, 5);
   Rng rng(6);
-  PartitionConfig cfg;
-  const auto match = ipm_matching(h, cfg, 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   const CoarseLevel level = contract(h, match);
   EXPECT_EQ(level.coarse.total_vertex_weight(), h.total_vertex_weight());
   level.coarse.validate();
@@ -112,8 +111,7 @@ TEST(Contract, CutPreservedUnderProjection) {
   // vertex and cannot be cut by a projected partition).
   const Hypergraph h = random_hypergraph(60, 120, 4, 4, 7);
   Rng rng(8);
-  PartitionConfig cfg;
-  const auto match = ipm_matching(h, cfg, 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   const CoarseLevel level = contract(h, match);
 
   const Partition coarse_p =

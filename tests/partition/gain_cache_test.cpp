@@ -150,6 +150,7 @@ TEST(GainCacheProperty, ManyPartsExerciseMultiWordBitsets) {
   expect_matches_scratch(h, p, cache);
   Rng rng(11);
   std::vector<PartId> candidates;
+  std::vector<std::uint64_t> scratch;
   for (int step = 0; step < 120; ++step) {
     const VertexId v{static_cast<Index>(rng.below(90))};
     // Brute-force candidate destinations: distinct parts of co-pins.
@@ -157,7 +158,7 @@ TEST(GainCacheProperty, ManyPartsExerciseMultiWordBitsets) {
     for (const NetId net : h.incident_nets(v))
       for (const VertexId u : h.pins(net))
         if (p[u] != p[v]) expected.insert(p[u]);
-    cache.candidate_parts_into(candidates, v);
+    cache.candidate_parts_into(candidates, v, scratch);
     ASSERT_EQ(std::vector<PartId>(expected.begin(), expected.end()),
               candidates)
         << "step=" << step;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <vector>
+
+#include "parallel/comm.hpp"
+#include "parallel/par_ipm.hpp"
 #include "test_util.hpp"
 
 namespace hgr {
@@ -10,15 +15,10 @@ namespace {
 using testing::make_hypergraph;
 using testing::random_hypergraph;
 
-PartitionConfig default_cfg() {
-  PartitionConfig cfg;
-  return cfg;
-}
-
 TEST(IpmMatching, IsAnInvolution) {
   const Hypergraph h = random_hypergraph(50, 100, 5, 3, 1);
   Rng rng(9);
-  const auto match = ipm_matching(h, default_cfg(), 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   ASSERT_EQ(match.size(), 50u);
   for (const VertexId v : match.ids()) {
     EXPECT_EQ(match[match[v]], v);
@@ -29,7 +29,7 @@ TEST(IpmMatching, PrefersHeavilyConnectedPartner) {
   // Vertices 0 and 1 share two nets; 0 and 2 share one.
   const Hypergraph h = make_hypergraph(3, {{0, 1}, {0, 1}, {0, 2}});
   Rng rng(1);
-  const auto match = ipm_matching(h, default_cfg(), 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   EXPECT_EQ(match[VertexId{0}], VertexId{1});
   EXPECT_EQ(match[VertexId{1}], VertexId{0});
   EXPECT_EQ(match[VertexId{2}], VertexId{2});  // left unmatched
@@ -38,7 +38,7 @@ TEST(IpmMatching, PrefersHeavilyConnectedPartner) {
 TEST(IpmMatching, IsolatedVerticesStayUnmatched) {
   const Hypergraph h = make_hypergraph(4, {{0, 1}});
   Rng rng(2);
-  const auto match = ipm_matching(h, default_cfg(), 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   EXPECT_EQ(match[VertexId{2}], VertexId{2});
   EXPECT_EQ(match[VertexId{3}], VertexId{3});
 }
@@ -51,12 +51,12 @@ TEST(IpmMatching, RespectsWeightCap) {
   const Hypergraph h = b.finalize();
   Rng rng(3);
   // Cap 15 < 20: the pair must not merge.
-  const auto match = ipm_matching(h, default_cfg(), 15, rng);
+  const auto match = ipm_matching(h, 15, rng);
   EXPECT_EQ(match[VertexId{0}], VertexId{0});
   EXPECT_EQ(match[VertexId{1}], VertexId{1});
   // Cap 0 disables the check.
   Rng rng2(3);
-  const auto match2 = ipm_matching(h, default_cfg(), 0, rng2);
+  const auto match2 = ipm_matching(h, 0, rng2);
   EXPECT_EQ(match2[VertexId{0}], VertexId{1});
 }
 
@@ -67,7 +67,7 @@ TEST(IpmMatching, NeverMatchesConflictingFixedVertices) {
   b.set_fixed_part(1, PartId{1});
   const Hypergraph h = b.finalize();
   Rng rng(4);
-  const auto match = ipm_matching(h, default_cfg(), 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   EXPECT_EQ(match[VertexId{0}], VertexId{0});
   EXPECT_EQ(match[VertexId{1}], VertexId{1});
 }
@@ -78,7 +78,7 @@ TEST(IpmMatching, FixedWithFreeAllowed) {
   b.set_fixed_part(0, PartId{2});
   const Hypergraph h = b.finalize();
   Rng rng(5);
-  const auto match = ipm_matching(h, default_cfg(), 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   EXPECT_EQ(match[VertexId{0}], VertexId{1});
 }
 
@@ -89,7 +89,7 @@ TEST(IpmMatching, SameFixedAllowed) {
   b.set_fixed_part(1, PartId{1});
   const Hypergraph h = b.finalize();
   Rng rng(6);
-  const auto match = ipm_matching(h, default_cfg(), 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   EXPECT_EQ(match[VertexId{0}], VertexId{1});
 }
 
@@ -104,29 +104,47 @@ TEST(IpmMatching, FixedCompatibilityRules) {
   EXPECT_EQ(merged_fixed(kNoPart, kNoPart), kNoPart);
 }
 
-TEST(IpmMatching, HighDegreeVerticesDoNotInitiate) {
-  PartitionConfig cfg;
-  cfg.max_matching_degree = 2;
-  // Vertex 0 has degree 3 (> cap): it must not initiate, but others can
-  // still match it passively.
-  const Hypergraph h =
-      make_hypergraph(4, {{0, 1}, {0, 2}, {0, 3}});
+TEST(IpmMatching, HubAboveDegreeCapStaysUnmatched) {
+  // A star: hub 0 shares one two-pin net with each of kMaxMatchingDegree + 1
+  // leaves, so its degree is one above the cap. The hub sits out matching
+  // as initiator and as partner, and the leaves have no other neighbor.
+  const Index leaves = kMaxMatchingDegree + 1;
+  HypergraphBuilder b(leaves + 1);
+  for (Index leaf = 1; leaf <= leaves; ++leaf) b.add_net({0, leaf}, 1);
+  const Hypergraph h = b.finalize();
+  ASSERT_EQ(h.vertex_degree(VertexId{0}), kMaxMatchingDegree + 1);
+
   Rng rng(7);
-  const auto match = ipm_matching(h, cfg, 0, rng);
-  for (const VertexId v : match.ids()) EXPECT_EQ(match[match[v]], v);
+  const auto serial = ipm_matching(h, 0, rng);
+  EXPECT_EQ(serial[VertexId{0}], VertexId{0});
+
+  // Both rank matchers at 2 ranks: the hub's block holds leaves that
+  // would otherwise pick it as their partner.
+  Comm comm(2);
+  std::mutex m;
+  std::vector<IdVector<VertexId, VertexId>> ranks;
+  comm.run([&](RankContext& ctx) {
+    const auto global = parallel_ipm_matching(ctx, h, 0, 7);
+    const auto local = local_ipm_matching(ctx, h, 0, 7);
+    std::lock_guard lock(m);
+    ranks.push_back(global);
+    ranks.push_back(local);
+  });
+  ASSERT_EQ(ranks.size(), 4u);
+  for (const auto& match : ranks) EXPECT_EQ(match[VertexId{0}], VertexId{0});
 }
 
 TEST(IpmMatching, DeterministicGivenSeed) {
   const Hypergraph h = random_hypergraph(60, 120, 5, 3, 11);
   Rng a(42), b(42);
-  EXPECT_EQ(ipm_matching(h, default_cfg(), 0, a),
-            ipm_matching(h, default_cfg(), 0, b));
+  EXPECT_EQ(ipm_matching(h, 0, a),
+            ipm_matching(h, 0, b));
 }
 
 TEST(IpmMatching, MatchesMostVerticesOnDenseHypergraph) {
   const Hypergraph h = random_hypergraph(100, 400, 4, 2, 13);
   Rng rng(8);
-  const auto match = ipm_matching(h, default_cfg(), 0, rng);
+  const auto match = ipm_matching(h, 0, rng);
   Index matched = 0;
   for (const VertexId v : match.ids())
     if (match[v] != v) ++matched;

@@ -39,23 +39,22 @@ void expect_same_hypergraph(const Hypergraph& a, const Hypergraph& b) {
 }
 
 IdVector<VertexId, VertexId> match_with_threads(const Hypergraph& h,
-                                                const PartitionConfig& cfg,
                                                 int threads,
                                                 std::uint64_t seed) {
   Rng rng(seed);
-  if (threads == 0) return ipm_matching(h, cfg, 0, rng, nullptr);
+  if (threads == 0) return ipm_matching(h, 0, rng, nullptr);
   ThreadPool pool(threads);
   Workspace ws;
   ws.set_pool(&pool);
-  return ipm_matching(h, cfg, 0, rng, &ws);
+  return ipm_matching(h, 0, rng, &ws);
 }
 
 TEST(ParKernel, MatchingIsThreadCountInvariant) {
   for (const std::uint64_t seed : {1u, 7u, 42u}) {
     const Hypergraph h = random_hypergraph(400, 800, 6, 3, seed);
-    const auto serial = match_with_threads(h, PartitionConfig{}, 0, seed);
-    const auto t1 = match_with_threads(h, PartitionConfig{}, 1, seed);
-    const auto t4 = match_with_threads(h, PartitionConfig{}, 4, seed);
+    const auto serial = match_with_threads(h, 0, seed);
+    const auto t1 = match_with_threads(h, 1, seed);
+    const auto t4 = match_with_threads(h, 4, seed);
     EXPECT_EQ(serial, t1) << "seed " << seed;
     EXPECT_EQ(serial, t4) << "seed " << seed;
   }
@@ -66,17 +65,14 @@ TEST(ParKernel, MatchingWithFixedVerticesIsThreadCountInvariant) {
   std::vector<PartId> fixed(200, kNoPart);
   for (Index v = 0; v < 200; v += 7) fixed[v] = PartId{v % 4};
   h.set_fixed_parts(std::move(fixed));
-  PartitionConfig cfg;
-  cfg.num_parts = 4;
-  const auto serial = match_with_threads(h, cfg, 0, 13);
-  const auto t4 = match_with_threads(h, cfg, 4, 13);
+  const auto serial = match_with_threads(h, 0, 13);
+  const auto t4 = match_with_threads(h, 4, 13);
   EXPECT_EQ(serial, t4);
 }
 
 TEST(ParKernel, ContractIsThreadCountInvariant) {
   const Hypergraph h = random_hypergraph(400, 800, 6, 3, 5);
-  PartitionConfig cfg;
-  const auto match = match_with_threads(h, cfg, 0, 5);
+  const auto match = match_with_threads(h, 0, 5);
 
   const CoarseLevel serial = contract(h, match, nullptr);
 

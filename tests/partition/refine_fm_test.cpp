@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "metrics/cut.hpp"
+#include "obs/trace.hpp"
 #include "test_util.hpp"
 
 namespace hgr {
@@ -138,6 +142,47 @@ TEST(FmRefine, ZeroCostNetsDoNotCrash) {
   Rng rng(7);
   const FmResult r = fm_refine_bisection(h, side, even_targets(h), cfg, rng);
   EXPECT_LE(r.final_cut, r.initial_cut);
+}
+
+TEST(FmRefine, ParanoidPassesCrossCheckQueueKeysAndGainCache) {
+  // Multi-pin nets, zero-cost nets and fixed vertices on both sides: every
+  // pass asserts each queued key equals the cache's move gain, then
+  // validates the cache against from-scratch recomputation.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(seed);
+    const Index n = 60;
+    HypergraphBuilder b(n);
+    for (Index i = 0; i < 140; ++i) {
+      std::vector<Index> pins;
+      const auto size = static_cast<Index>(rng.range(2, 7));
+      while (static_cast<Index>(pins.size()) < size) {
+        const auto v =
+            static_cast<Index>(rng.below(static_cast<std::uint64_t>(n)));
+        if (std::find(pins.begin(), pins.end(), v) == pins.end())
+          pins.push_back(v);
+      }
+      b.add_net(pins, rng.range(0, 3));
+    }
+    Sides side(n);
+    for (Index v = 0; v < n; ++v) {
+      b.set_vertex_weight(v, rng.range(1, 4));
+      side[VertexId{v}] = PartId{static_cast<Index>(rng.below(2))};
+      if (v % 7 == 0) b.set_fixed_part(v, side[VertexId{v}]);
+    }
+    const Hypergraph h = b.finalize();
+
+    obs::Registry reg;
+    obs::ScopedRegistry scope(reg);
+    PartitionConfig cfg;
+    cfg.check_level = check::CheckLevel::kParanoid;
+    const FmResult r = fm_refine_bisection(h, side, even_targets(h), cfg, rng);
+    EXPECT_EQ(reg.counter_value("gain_cache.validations"),
+              static_cast<std::uint64_t>(r.passes))
+        << "seed=" << seed;
+    EXPECT_EQ(r.final_cut, cut_of(h, side)) << "seed=" << seed;
+    for (Index v = 0; v < n; v += 7)
+      EXPECT_EQ(side[VertexId{v}], h.fixed_part(VertexId{v}));
+  }
 }
 
 }  // namespace

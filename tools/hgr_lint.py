@@ -60,6 +60,11 @@ Textual rules (all scoped to src/ and tools/ C++ sources):
                    (docs/OBSERVABILITY.md) or accumulate locally and bump
                    once after. Deliberate per-iteration lookups are
                    suppressed with `// hgr-lint: counter-ok`.
+  balance-bound    No `avg * (1.0 + eps)` part-weight bound in src/ outside
+                   metrics/balance.cpp. Truncating it floors below
+                   ceil(avg) when the average is fractional and eps is
+                   small, so no balanced partition fits; call the
+                   ceil-aware max_part_weight (metrics/balance.hpp).
 
 Id-safety rules (common/types.hpp strong ids; see docs/CHECKING.md):
 
@@ -193,6 +198,14 @@ RULES = [
         "borrow; mark deliberate ragged use with `// hgr-lint: ragged-ok`",
         # Only the hot comm/partition layers are held to the flat format.
         lambda path: "parallel" in path.parts or "partition" in path.parts,
+    ),
+    (
+        "balance-bound",
+        re.compile(r"\b\w*avg\w*\s*\*\s*\(\s*1(?:\.0*)?\s*\+"),
+        "use the ceil-aware max_part_weight (metrics/balance.hpp)",
+        # max_part_weight itself is the one sanctioned spelling.
+        lambda path: "src" in path.parts and
+                     path.parts[-2:] != ("metrics", "balance.cpp"),
     ),
 ]
 

@@ -67,6 +67,15 @@ CASES = [
      "std::vector<std::vector<int>> rows;\n", 0),
     ("ragged-comm/good-marker", "src/parallel/x.cpp",
      "std::vector<std::vector<int>> rows;  // hgr-lint: ragged-ok\n", 0),
+    # --- balance-bound (src/ outside metrics/balance.cpp) ---
+    ("balance-bound/bad", "src/graphpart/x.cpp",
+     "const auto max_w = static_cast<Weight>(avg * (1.0 + cfg.epsilon));\n",
+     1),
+    ("balance-bound/good-definer", "src/metrics/balance.cpp",
+     "const auto relaxed = static_cast<Weight>(avg * (1.0 + epsilon));\n",
+     0),
+    ("balance-bound/good-call", "src/graphpart/x.cpp",
+     "const Weight max_w = max_part_weight(total, k, cfg.epsilon);\n", 0),
     # --- swallowed-failure ---
     ("swallowed-failure/bad", "src/parallel/x.cpp",
      "void f() {\n  try { g(); } catch (...) {\n    log();\n  }\n}\n", 1),
